@@ -4,6 +4,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -113,6 +115,35 @@ bool CenterTable::supported(std::int32_t r, Metric m) {
   return neighborhood_size(r, m) <= CenterSet::kBits;
 }
 
+const CenterTable& CenterTable::require(std::int32_t r, Metric m,
+                                        std::int32_t width,
+                                        std::int32_t height,
+                                        bool two_hop_pool) {
+  if (!supported(r, m)) {
+    std::int32_t limit = 1;
+    while (supported(limit + 1, m)) ++limit;
+    throw std::invalid_argument(
+        "radius r=" + std::to_string(r) + " under " + to_string(m) +
+        " is outside the Byzantine protocols' domain 1 <= r <= " +
+        std::to_string(limit) + " (|nbd| must fit the " +
+        std::to_string(CenterSet::kBits) + "-bit CenterSet)");
+  }
+  if (two_hop_pool) {
+    if (width <= 2 * r || height <= 2 * r) {
+      throw std::invalid_argument(
+          "bv-2hop needs both torus sides > 2r = " + std::to_string(2 * r) +
+          " (got " + std::to_string(width) + "x" + std::to_string(height) +
+          ")");
+    }
+    if (static_cast<std::int64_t>(width) * height >= (1 << 21)) {
+      throw std::invalid_argument(
+          "bv-2hop needs fewer than 2^21 nodes (got " + std::to_string(width) +
+          "x" + std::to_string(height) + ")");
+    }
+  }
+  return get(r, m, width, height);
+}
+
 PackingMemo& PackingMemo::thread_instance() {
   thread_local PackingMemo memo;
   return memo;
@@ -153,8 +184,8 @@ bool IncrementalDetermination::add_report(std::span<const Offset> rel,
                                           std::uint64_t key) {
   const int first = table_.offset_index(rel[0]);
   assert(first >= 0);  // the first relayer is a direct neighbor of the origin
-  // Same short-circuit order as the legacy engine: the dedup set only learns
-  // chains considered while the first-relayer cap still had room.
+  // Cap before dedup: the dedup set only learns chains considered while the
+  // first-relayer cap still had room.
   std::uint8_t& per_first = per_first_[static_cast<std::size_t>(first)];
   if (per_first >= first_cap_) return false;
   if (!dedup_.insert(key).second) return false;

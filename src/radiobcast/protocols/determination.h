@@ -36,9 +36,10 @@
 //     set, so cache hits can never change simulation results, only skip
 //     recomputation (the golden determinism suite pins this).
 //
-// Domain: the fast engine requires the candidate-center count |nbd| to fit
-// CenterSet (256 bits — every r <= 7 under both metrics). Larger radii fall
-// back to the legacy per-round path in the protocol implementations.
+// Domain: the engine requires the candidate-center count |nbd| to fit
+// CenterSet (256 bits — r <= 7 under L-inf, r <= 9 under L2). It is the only
+// evidence path of the Byzantine protocols, so CenterTable::require rejects
+// larger radii with std::invalid_argument instead of falling back.
 
 #include <array>
 #include <bit>
@@ -54,8 +55,8 @@
 namespace rbcast {
 
 /// Fixed-width bitset over candidate-center indices (positions in the
-/// NeighborhoodTable offset order). 256 bits cover |nbd| for every r <= 7
-/// under L-inf ((2r+1)^2 - 1 = 224) and L2.
+/// NeighborhoodTable offset order). 256 bits cover |nbd| for r <= 7 under
+/// L-inf ((2r+1)^2 - 1 = 224) and r <= 9 under L2 (252).
 class CenterSet {
  public:
   static constexpr int kBits = 256;
@@ -103,9 +104,19 @@ class CenterTable {
   static const CenterTable& get(std::int32_t r, Metric m, std::int32_t width,
                                 std::int32_t height);
 
-  /// True iff the fast engine handles this (r, m): the candidate-center
-  /// count fits CenterSet.
+  /// True iff the engine handles this (r, m): the candidate-center count
+  /// fits CenterSet.
   static bool supported(std::int32_t r, Metric m);
+
+  /// The domain check of the Byzantine protocols: returns get(r, m, width,
+  /// height), or throws std::invalid_argument naming r, the metric and the
+  /// limit unless supported(r, m). `two_hop_pool` adds the two-hop pool's
+  /// own limits: both sides > 2r (distinct candidate centers never fold onto
+  /// one node, so per-center counts never merge) and fewer than 2^21 nodes
+  /// (its packed keys hold 21-bit node indices).
+  static const CenterTable& require(std::int32_t r, Metric m,
+                                    std::int32_t width, std::int32_t height,
+                                    bool two_hop_pool);
 
   std::int32_t radius() const { return r_; }
   Metric metric() const { return m_; }

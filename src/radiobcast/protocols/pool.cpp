@@ -1,23 +1,9 @@
 #include "radiobcast/protocols/pool.h"
 
-#include <atomic>
-
 namespace rbcast {
 
-namespace {
-std::atomic<bool> g_soa_pools_enabled{true};
-}  // namespace
-
-void set_soa_pools_enabled(bool enabled) {
-  g_soa_pools_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool soa_pools_enabled() {
-  return g_soa_pools_enabled.load(std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
-// CrashFloodPool — mirrors CrashFloodBehavior::on_receive exactly.
+// CrashFloodPool
 
 void CrashFloodPool::on_receive(NodeContext& ctx, std::int32_t node,
                                 const Envelope& env) {
@@ -29,7 +15,7 @@ void CrashFloodPool::on_receive(NodeContext& ctx, std::int32_t node,
 }
 
 // ---------------------------------------------------------------------------
-// CpaPool — mirrors CpaBehavior.
+// CpaPool
 
 void CpaPool::commit(NodeContext& ctx, std::int32_t node, std::uint8_t value) {
   state_.set(node, value, ctx.round());
@@ -60,19 +46,20 @@ void CpaPool::on_receive(NodeContext& ctx, std::int32_t node,
 }
 
 // ---------------------------------------------------------------------------
-// BvTwoHopPool — mirrors BvTwoHopBehavior on the CenterTable path, including
-// the inlined NeighborhoodCommitCounter (protocols/common.cpp).
+// BvTwoHopPool, including the inlined NeighborhoodCommitCounter
+// (protocols/common.cpp).
 
 BvTwoHopPool::BvTwoHopPool(const ProtocolParams& params, const Torus& torus,
-                           std::int32_t r, Metric m)
+                           std::int32_t r, Metric m, std::int64_t slots)
     : t_(params.t),
       track_after_commit_(params.track_after_commit),
       source_(torus.wrap(params.source)),
       r_(r),
       m_(m),
+      center_table_(CenterTable::require(r, m, torus.width(), torus.height(),
+                                         /*two_hop_pool=*/true)),
       table_(NeighborhoodTable::get(r, m)),
-      center_table_(CenterTable::get(r, m, torus.width(), torus.height())),
-      state_(torus.node_count()) {}
+      state_(slots) {}
 
 void BvTwoHopPool::commit(NodeContext& ctx, std::int32_t node,
                           std::uint8_t value) {
@@ -161,9 +148,11 @@ void BvTwoHopPool::handle_heard(NodeContext& ctx, std::int32_t node,
   const std::uint8_t v = msg.value & 1;
   if (determined_.contains(nov_key(node, origin_idx, v))) return;
 
-  // Count this reporter toward every candidate center whose neighborhood
-  // contains both committer and reporter — the CenterTable bitset walk of
-  // BvTwoHopBehavior::handle_heard, with the counts block arena-allocated.
+  // Count this reporter toward every candidate center c whose neighborhood
+  // contains both the committer and the reporter (c itself excluded from
+  // nbd(c)): t+1 distinct reporters under one center are t+1 node-disjoint
+  // evidence chains confined to that neighborhood. The CenterTable bitset
+  // (fold baked in) names those centers; the counts block is arena-allocated.
   std::uint32_t& block = reporter_blocks_.slot(nov_key(node, origin_idx, v));
   if (block == 0) {
     block = static_cast<std::uint32_t>(++arena_blocks_);

@@ -1,25 +1,25 @@
 #pragma once
 // Structure-of-arrays protocol pools (docs/PERF.md, "Memory model").
 //
-// Per-trial protocol state used to be one heap object per node, full of
-// std::map / std::set members — at a million nodes the resident set and the
-// cache misses of that layout, not the algorithm, capped practical torus
-// sizes. The pools below keep the SAME protocol logic (statement for
-// statement — the golden SHA-256 suite proves byte-identical output) but lay
-// the state out flat:
+// The pools are the only implementation of crash flooding (Section VII), CPA
+// (Section IX) and the two-hop Byzantine protocol (Section VI-B). Their state
+// is laid out flat:
 //
-//   * dense std::vector arrays indexed by the CSR node index for per-node
-//     phase state (committed value, commit round, claim tallies);
-//   * one bit per node for commit flags (DenseBits);
+//   * dense std::vector arrays indexed by slot for per-node phase state
+//     (committed value, commit round, claim tallies);
+//   * one bit per slot for commit flags (DenseBits);
 //   * packed-key open-addressing hash tables (PackedKeySet / PackedU32Map)
-//     for the relations the per-node maps/sets used to hold — keys pack
-//     (node, peer, value) into one uint64, and the tables are only ever
-//     probed, never iterated, so their layout cannot leak into results;
-//   * a shared arena for the per-(node, origin, value) reporter-count blocks
+//     for the per-node relations — keys pack (slot, peer, value) into one
+//     uint64, and the tables are only ever probed, never iterated, so their
+//     layout cannot leak into results;
+//   * a shared arena for the per-(slot, origin, value) reporter-count blocks
 //     of the two-hop protocol (one contiguous K-slot block per active pair).
 //
-// A pool manages the honest nodes of one trial; the source and faulty nodes
-// keep their per-node behaviors (net/pool.h documents the dispatch split).
+// A slot is a node's CSR index when the simulator installs one pool for all
+// honest nodes of a trial (`slots` = node count), and 0 when a
+// PoolNodeBehavior (net/pool.h) drives a single node through a one-slot pool
+// — the runtime, fault wrappers and behavior factories. Peers are always
+// addressed by their torus index, so both layouts run the same statements.
 
 #include <cstdint>
 #include <memory>
@@ -35,14 +35,7 @@
 
 namespace rbcast {
 
-/// Process-wide switch for the SoA pools (default on). run_simulation builds
-/// pools only while enabled; turning it off forces the per-node behavior
-/// path. Exists for the interleaved before/after benchmarks and for the
-/// equivalence tests that prove both paths produce identical results.
-void set_soa_pools_enabled(bool enabled);
-bool soa_pools_enabled();
-
-/// One bit per node.
+/// One bit per slot.
 class DenseBits {
  public:
   explicit DenseBits(std::int64_t n)
@@ -223,14 +216,12 @@ class CommitArrays {
   std::vector<std::int32_t> round_;
 };
 
-/// SoA twin of CrashFloodBehavior (protocols/crash_flood.h). Per-node state:
-/// one commit bit + value byte + round — ~6 bytes/node.
+/// Crash-stop broadcast (Section VII): "each node that receives a value
+/// commits to it, re-broadcasts it once for the benefit of others, and then
+/// may terminate." Per-node state: one commit bit + value byte + round.
 class CrashFloodPool final : public NodePool {
  public:
-  CrashFloodPool(const ProtocolParams& params, const Torus& torus)
-      : state_(torus.node_count()) {
-    (void)params;  // crash-flood ignores t/source; kept for factory symmetry
-  }
+  explicit CrashFloodPool(std::int64_t slots) : state_(slots) {}
 
   void on_receive(NodeContext& ctx, std::int32_t node,
                   const Envelope& env) override;
@@ -247,15 +238,19 @@ class CrashFloodPool final : public NodePool {
   CommitArrays state_;
 };
 
-/// SoA twin of CpaBehavior (protocols/cpa.h): dense claim tallies per value
-/// plus a packed (node, sender) first-claim set.
+/// The Certified Propagation Algorithm of [Koo04], analyzed in Section IX.
+/// The source's direct neighbors commit on hearing it; every other node
+/// commits once t+1 distinct neighbors announced the same value (first claim
+/// per neighbor only), re-broadcasts once and terminates. State: dense claim
+/// tallies per value plus a packed (slot, sender) first-claim set.
 class CpaPool final : public NodePool {
  public:
-  CpaPool(const ProtocolParams& params, const Torus& torus)
+  CpaPool(const ProtocolParams& params, const Torus& torus,
+          std::int64_t slots)
       : t_(params.t),
         source_(torus.wrap(params.source)),
-        state_(torus.node_count()),
-        claims_(static_cast<std::size_t>(torus.node_count()) * 2, 0) {}
+        state_(slots),
+        claims_(static_cast<std::size_t>(slots) * 2, 0) {}
 
   void on_receive(NodeContext& ctx, std::int32_t node,
                   const Envelope& env) override;
@@ -277,26 +272,30 @@ class CpaPool final : public NodePool {
   std::int64_t t_;
   Coord source_;
   CommitArrays state_;
-  std::vector<std::int32_t> claims_;  // 2 per node: [2*node + value]
-  PackedKeySet first_claim_;          // (node << 32) | sender index
+  std::vector<std::int32_t> claims_;  // 2 per slot: [2*slot + value]
+  PackedKeySet first_claim_;          // (slot << 32) | sender index
 };
 
-/// SoA twin of BvTwoHopBehavior on its incremental (CenterTable) path. The
-/// per-node maps/sets become packed tables keyed by (node, peer[, value]),
-/// and the per-(origin, value) reporter-count vectors become K-slot blocks in
-/// one shared arena. Only instantiated when supported() holds — the legacy
-/// and offset-exact fallback paths for tiny tori stay in the behavior class.
+/// The simplified Bhandari–Vaidya protocol (Section VI-B): only the
+/// immediate neighbors of a committer send HEARD reports, so a commit
+/// travels at most two hops; same exact threshold t < r(2r+1)/2 in L-inf.
+///
+///  * (i, v) is reliably determined on COMMITTED(i, v) from i itself (first
+///    value per sender), or on HEARD(k, i, v) from t+1 distinct reporters k
+///    that, together with i, lie in nbd(c) for one center c — one-intermediate
+///    chains with distinct reporters are node-disjoint, so one is honest;
+///  * a node commits to v once t+1 determined committers of v lie in one
+///    neighborhood.
+///
+/// Reporter counts per candidate center come from the CenterTable bitset
+/// walk; the per-(origin, value) count vectors are K-slot blocks in one
+/// shared arena. The constructor enforces CenterTable::require's two-hop
+/// domain.
 class BvTwoHopPool final : public NodePool {
  public:
-  /// The pool requires the CenterTable engine (same condition as the
-  /// behavior's fast path) and 21-bit node indices for its packed keys.
-  static bool supported(const Torus& torus, std::int32_t r, Metric m) {
-    return CenterTable::supported(r, m) && torus.width() > 2 * r &&
-           torus.height() > 2 * r && torus.node_count() < (1 << 21);
-  }
-
+  /// Throws std::invalid_argument outside CenterTable::require's domain.
   BvTwoHopPool(const ProtocolParams& params, const Torus& torus,
-               std::int32_t r, Metric m);
+               std::int32_t r, Metric m, std::int64_t slots);
 
   void on_receive(NodeContext& ctx, std::int32_t node,
                   const Envelope& env) override;
@@ -309,6 +308,19 @@ class BvTwoHopPool final : public NodePool {
   }
   std::uint64_t state_bytes() const override;
 
+  /// True iff `node` has reliably determined that the node at torus index
+  /// `origin` committed `value` (exposed for tests).
+  bool has_determined(std::int32_t node, std::int32_t origin,
+                      std::uint8_t value) const {
+    return determined_.contains(nov_key(node, origin, value));
+  }
+
+  /// (origin, value) pairs determined, summed over all slots — for a
+  /// one-slot pool, that node's count (exposed for tests).
+  std::int64_t determinations() const {
+    return static_cast<std::int64_t>(determined_.size());
+  }
+
  private:
   void handle_committed(NodeContext& ctx, std::int32_t node,
                         const Envelope& env);
@@ -317,7 +329,7 @@ class BvTwoHopPool final : public NodePool {
                  std::uint8_t value);
   void commit(NodeContext& ctx, std::int32_t node, std::uint8_t value);
 
-  // (node, origin index, value bit) — 21 + 21 + 1 bits.
+  // (slot, origin index, value bit) — 21 + 21 + 1 bits.
   static std::uint64_t nov_key(std::int32_t node, std::int32_t origin,
                                std::uint8_t value) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node))
@@ -332,14 +344,14 @@ class BvTwoHopPool final : public NodePool {
   Coord source_;
   std::int32_t r_;
   Metric m_;
+  const CenterTable& center_table_;  // first: its domain check runs first
   const NeighborhoodTable& table_;
-  const CenterTable& center_table_;
   CommitArrays state_;
-  PackedKeySet first_committed_;  // (node << 32) | sender index
-  PackedKeySet heard_consumed_;   // (node << 42) | (reporter << 21) | origin
-  PackedKeySet determined_;       // nov_key(node, origin, value)
-  PackedU32Map center_counts_;    // nov_key(node, center, value) -> count
-  PackedU32Map reporter_blocks_;  // nov_key(node, origin, value) -> block + 1
+  PackedKeySet first_committed_;  // (slot << 32) | sender index
+  PackedKeySet heard_consumed_;   // (slot << 42) | (reporter << 21) | origin
+  PackedKeySet determined_;       // nov_key(slot, origin, value)
+  PackedU32Map center_counts_;    // nov_key(slot, center, value) -> count
+  PackedU32Map reporter_blocks_;  // nov_key(slot, origin, value) -> block + 1
   std::vector<std::int32_t> reporter_arena_;  // blocks of K counts
   std::size_t arena_blocks_ = 0;
 };

@@ -99,6 +99,11 @@ RuntimeResult run_scenario_threads(
   const NeighborhoodTable& table =
       NeighborhoodTable::get(scenario.sim.r, scenario.sim.metric);
   (void)Adjacency::get(torus, table);
+  // Build one honest behavior up front, so a configuration the protocol
+  // rejects (CenterTable::require's radius and torus domain) fails here with
+  // the protocol's own error instead of inside one node thread while its
+  // peers wait for it at the first barrier.
+  (void)make_node_behavior(scenario.sim, torus, NodeRole::kHonest);
 
   // Bind every socket first (ephemeral ports), then tell everyone about
   // everyone: the peer table must be complete before any node transmits.

@@ -158,6 +158,9 @@ int run_processes(const Scenario& scenario, const std::string& scenario_path,
                   std::vector<ChildState>& ledger) {
   const Torus torus(scenario.sim.width, scenario.sim.height);
   const std::int64_t n = torus.node_count();
+  // A configuration the protocol rejects fails here, before any child is
+  // spawned (the same up-front build as run_scenario_threads).
+  (void)make_node_behavior(scenario.sim, torus, NodeRole::kHonest);
   ledger.assign(static_cast<std::size_t>(n), ChildState{});
   for (std::int64_t i = 0; i < n; ++i) {
     const pid_t pid =

@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "radiobcast/net/network.h"
-#include "radiobcast/protocols/crash_flood.h"
+#include "radiobcast/protocols/pool.h"
 #include "radiobcast/protocols/source.h"
 
 namespace {
@@ -64,8 +64,8 @@ TEST(AllocFreeDelivery, CrashFloodWholeRunIsAllocationFree) {
     if (c == Coord{0, 0}) {
       net.set_behavior(c, std::make_unique<SourceBehavior>(1));
     } else {
-      net.set_behavior(
-          c, std::make_unique<CrashFloodBehavior>(ProtocolParams{0, {0, 0}}));
+      net.set_behavior(c, std::make_unique<PoolNodeBehavior>(
+                              std::make_unique<CrashFloodPool>(1)));
     }
   }
   net.start();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "radiobcast/core/analysis.h"
 #include "radiobcast/core/experiment.h"
@@ -203,27 +204,29 @@ TEST(BvIndirect, BehaviorUnitConflictingChainsDoNotCount) {
 }
 
 TEST(BvIndirect, RadiusGuardRejectsKeyCollidingRadii) {
-  // pack_report_key encodes origin-relative chain deltas (bounded by 3r) in
-  // 8-bit two's complement, injective only for r <= kMaxReportKeyRadius.
+  // The CenterTable engine is the only evidence path, so the constructor
+  // admits exactly the radii whose |nbd| fits the 256-bit CenterSet:
+  // r <= 7 under L-inf (224 centers) and r <= 9 under L2 (252). That is
+  // well inside the r <= 42 on which pack_report_key is injective.
   const ProtocolParams params{1, {0, 0}};
-  const std::int32_t rmax = BvIndirectBehavior::kMaxReportKeyRadius;
-  EXPECT_EQ(rmax, 42);
-  {
-    const Torus torus(8 * rmax + 4, 8 * rmax + 4);
-    EXPECT_NO_THROW(BvIndirectBehavior(params, torus, rmax, Metric::kLInf,
-                                       RelayMode::kFlood));
-  }
-  {
-    const Torus torus(8 * (rmax + 1) + 4, 8 * (rmax + 1) + 4);
-    EXPECT_THROW(BvIndirectBehavior(params, torus, rmax + 1, Metric::kLInf,
-                                    RelayMode::kFlood),
-                 std::invalid_argument);
-  }
-  {
-    const Torus torus(12, 12);
-    EXPECT_THROW(
-        BvIndirectBehavior(params, torus, 0, Metric::kLInf, RelayMode::kFlood),
-        std::invalid_argument);
+  const auto make = [&](std::int32_t r, Metric m) {
+    const Torus torus(4 * r + 2, 4 * r + 2);
+    return BvIndirectBehavior(params, torus, r, m, RelayMode::kFlood);
+  };
+  EXPECT_NO_THROW(make(7, Metric::kLInf));
+  EXPECT_THROW(make(8, Metric::kLInf), std::invalid_argument);
+  EXPECT_NO_THROW(make(9, Metric::kL2));
+  EXPECT_THROW(make(10, Metric::kL2), std::invalid_argument);
+  EXPECT_THROW(make(0, Metric::kLInf), std::invalid_argument);
+  EXPECT_THROW(make(42, Metric::kLInf), std::invalid_argument);
+  try {
+    make(8, Metric::kLInf);
+    ADD_FAILURE() << "r=8 under Linf was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("r=8"), std::string::npos) << what;
+    EXPECT_NE(what.find("Linf"), std::string::npos) << what;
+    EXPECT_NE(what.find("r <= 7"), std::string::npos) << what;
   }
 }
 

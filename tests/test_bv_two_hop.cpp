@@ -1,13 +1,28 @@
-#include "radiobcast/protocols/bv_two_hop.h"
+#include "radiobcast/protocols/pool.h"
 
 #include <gtest/gtest.h>
 
 #include "radiobcast/core/analysis.h"
 #include "radiobcast/core/experiment.h"
 #include "radiobcast/core/simulation.h"
+#include "radiobcast/net/network.h"
 
 namespace rbcast {
 namespace {
+
+/// Fills an r=2 network with one-slot two-hop pools behind the behavior
+/// adapter and returns the pool driving `self`.
+const BvTwoHopPool& two_hop_nodes(RadioNetwork& net, std::int64_t t,
+                                  Coord self) {
+  for (const Coord c : net.torus().all_coords()) {
+    net.set_behavior(c, std::make_unique<PoolNodeBehavior>(
+                            std::make_unique<BvTwoHopPool>(
+                                ProtocolParams{t, {0, 0}}, net.torus(), 2,
+                                Metric::kLInf, 1)));
+  }
+  const auto& node = dynamic_cast<const PoolNodeBehavior&>(*net.behavior(self));
+  return dynamic_cast<const BvTwoHopPool&>(node.pool());
+}
 
 SimConfig base_config(std::int32_t r) {
   SimConfig cfg;
@@ -108,83 +123,67 @@ TEST(BvTwoHop, RandomLiarsAtThresholdAreHarmless) {
 TEST(BvTwoHop, BehaviorUnitDirectDetermination) {
   const Torus torus(20, 20);
   RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvTwoHopBehavior>(
-                            ProtocolParams{1, {0, 0}}, torus, 2,
-                            Metric::kLInf));
-  }
   const Coord self{10, 10};
+  const BvTwoHopPool& pool = two_hop_nodes(net, 1, self);
   NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvTwoHopBehavior*>(net.behavior(self));
-  EXPECT_EQ(b->determinations(), 0);
+  NodeBehavior* b = net.behavior(self);
+  EXPECT_EQ(pool.determinations(), 0);
   b->on_receive(ctx, {{9, 9}, make_committed({9, 9}, 1)});
-  EXPECT_EQ(b->determinations(), 1);
+  EXPECT_EQ(pool.determinations(), 1);
   // Duplicate and contradiction are both no-ops.
   b->on_receive(ctx, {{9, 9}, make_committed({9, 9}, 1)});
   b->on_receive(ctx, {{9, 9}, make_committed({9, 9}, 0)});
-  EXPECT_EQ(b->determinations(), 1);
+  EXPECT_EQ(pool.determinations(), 1);
 }
 
 TEST(BvTwoHop, BehaviorUnitIndirectDeterminationNeedsTPlusOneReporters) {
   const Torus torus(20, 20);
   const std::int64_t t = 2;
   RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvTwoHopBehavior>(
-                            ProtocolParams{t, {0, 0}}, torus, 2,
-                            Metric::kLInf));
-  }
   const Coord self{10, 10};
   const Coord origin{13, 10};  // 3 away: not a direct neighbor (r=2)
+  const BvTwoHopPool& pool = two_hop_nodes(net, t, self);
   NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvTwoHopBehavior*>(net.behavior(self));
+  NodeBehavior* b = net.behavior(self);
   // Reporters adjacent to both the origin and us, clustered so that one
   // neighborhood (e.g. centered (12,10)) contains origin and all reporters.
   const Coord reporters[] = {{11, 10}, {11, 11}, {12, 9}};
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(b->determinations(), 0) << "after " << i << " reporters";
+    EXPECT_EQ(pool.determinations(), 0) << "after " << i << " reporters";
     b->on_receive(ctx, {reporters[i],
                         make_heard({reporters[i]}, origin, 1)});
   }
-  EXPECT_EQ(b->determinations(), 1);  // t+1 = 3 disjoint chains in one nbd
+  EXPECT_EQ(pool.determinations(), 1);  // t+1 = 3 disjoint chains in one nbd
 }
 
 TEST(BvTwoHop, BehaviorUnitRejectsMalformedHeard) {
   const Torus torus(20, 20);
   RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvTwoHopBehavior>(
-                            ProtocolParams{0, {0, 0}}, torus, 2,
-                            Metric::kLInf));
-  }
   const Coord self{10, 10};
+  const BvTwoHopPool& pool = two_hop_nodes(net, 0, self);
   NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvTwoHopBehavior*>(net.behavior(self));
+  NodeBehavior* b = net.behavior(self);
   // Relayer field does not match the transmitter: spoofed, dropped.
   b->on_receive(ctx, {{9, 9}, make_heard({{8, 8}}, {13, 10}, 1)});
-  EXPECT_EQ(b->determinations(), 0);
+  EXPECT_EQ(pool.determinations(), 0);
   // Reporter claims to have heard a node 4 away (impossible with r=2).
   b->on_receive(ctx, {{9, 9}, make_heard({{9, 9}}, {13, 10}, 1)});
-  EXPECT_EQ(b->determinations(), 0);
+  EXPECT_EQ(pool.determinations(), 0);
   // Origin == reporter is nonsense.
   b->on_receive(ctx, {{9, 9}, make_heard({{9, 9}}, {9, 9}, 1)});
-  EXPECT_EQ(b->determinations(), 0);
+  EXPECT_EQ(pool.determinations(), 0);
   // Two-relayer chains are not part of the two-hop protocol.
   b->on_receive(ctx, {{9, 9}, make_heard({{11, 10}, {9, 9}}, {12, 10}, 1)});
-  EXPECT_EQ(b->determinations(), 0);
+  EXPECT_EQ(pool.determinations(), 0);
 }
 
 TEST(BvTwoHop, BehaviorUnitSourceNeighborCommitsDirectly) {
   const Torus torus(20, 20);
   RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvTwoHopBehavior>(
-                            ProtocolParams{4, {0, 0}}, torus, 2,
-                            Metric::kLInf));
-  }
   const Coord self{1, 1};
+  (void)two_hop_nodes(net, 4, self);
   NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvTwoHopBehavior*>(net.behavior(self));
+  NodeBehavior* b = net.behavior(self);
   b->on_receive(ctx, {{0, 0}, make_committed({0, 0}, 0)});
   EXPECT_EQ(b->committed_value(), std::optional<std::uint8_t>(0));
 }

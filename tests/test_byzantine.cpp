@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "radiobcast/protocols/crash_flood.h"
+#include "radiobcast/protocols/pool.h"
 
 namespace rbcast {
 namespace {
@@ -102,7 +102,8 @@ TEST(CrashAtRound, HonestUntilCrash) {
   const Coord node{5, 5};
   net.set_behavior(node,
                    std::make_unique<CrashAtRoundBehavior>(
-                       std::make_unique<CrashFloodBehavior>(ProtocolParams{}),
+                       std::make_unique<PoolNodeBehavior>(
+                           std::make_unique<CrashFloodPool>(1)),
                        /*crash_round=*/2));
   net.start();
   NodeContext ctx(net, node);
@@ -130,7 +131,8 @@ TEST(CrashAtRound, CrashAtZeroNeverActs) {
   const Coord node{5, 5};
   net.set_behavior(node,
                    std::make_unique<CrashAtRoundBehavior>(
-                       std::make_unique<CrashFloodBehavior>(ProtocolParams{}),
+                       std::make_unique<PoolNodeBehavior>(
+                           std::make_unique<CrashFloodPool>(1)),
                        /*crash_round=*/0));
   net.start();
   NodeContext ctx(net, node);

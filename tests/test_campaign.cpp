@@ -13,9 +13,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "radiobcast/campaign/report.h"
@@ -368,6 +371,30 @@ TEST(CampaignReport, JsonShapeAndEscaping) {
   EXPECT_EQ(json_number(3.0), "3");
   EXPECT_EQ(json_number(-41.0), "-41");
   EXPECT_EQ(json_number(0.5), "0.5");
+}
+
+TEST(CampaignReport, DocumentedSchemaMatchesEmittedSchema) {
+  // The schema string write_json emits must be the one docs/CAMPAIGNS.md
+  // documents, and every other mention in the docs must agree with it.
+  std::smatch match;
+  const std::string json = to_json(CampaignResult{});
+  ASSERT_TRUE(std::regex_search(json, match,
+                                std::regex("\"schema\":\"([^\"]+)\"")));
+  const std::string emitted = match[1];
+  const std::regex mention("radiobcast-campaign-v[0-9]+");
+  for (const char* doc : {"docs/CAMPAIGNS.md", "docs/RUNTIME.md"}) {
+    std::ifstream in(std::string(RADIOBCAST_SOURCE_DIR) + "/" + doc);
+    ASSERT_TRUE(in) << doc;
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    int mentions = 0;
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), mention);
+         it != std::sregex_iterator(); ++it) {
+      EXPECT_EQ(it->str(), emitted) << doc;
+      ++mentions;
+    }
+    EXPECT_GT(mentions, 0) << doc << " no longer names the schema";
+  }
 }
 
 TEST(CampaignReport, CsvHasHeaderPlusOneRowPerCell) {

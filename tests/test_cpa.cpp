@@ -1,13 +1,20 @@
-#include "radiobcast/protocols/cpa.h"
+#include "radiobcast/protocols/pool.h"
 
 #include <gtest/gtest.h>
 
 #include "radiobcast/core/analysis.h"
 #include "radiobcast/core/experiment.h"
 #include "radiobcast/core/simulation.h"
+#include "radiobcast/net/network.h"
 
 namespace rbcast {
 namespace {
+
+/// One CPA node: a one-slot pool behind the behavior adapter.
+std::unique_ptr<NodeBehavior> cpa_node(std::int64_t t, const Torus& torus) {
+  return std::make_unique<PoolNodeBehavior>(
+      std::make_unique<CpaPool>(ProtocolParams{t, {0, 0}}, torus, 1));
+}
 
 SimConfig base_config(std::int32_t r) {
   SimConfig cfg;
@@ -77,11 +84,11 @@ TEST(Cpa, BehaviorUnitNeedsTPlusOneClaims) {
   const Torus torus(12, 12);
   RadioNetwork net(torus, 1, Metric::kLInf, 1);
   for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<CpaBehavior>(ProtocolParams{2, {0, 0}}));
+    net.set_behavior(c, cpa_node(2, torus));
   }
   const Coord self{6, 6};
   NodeContext ctx(net, self);
-  auto* b = dynamic_cast<CpaBehavior*>(net.behavior(self));
+  NodeBehavior* b = net.behavior(self);
   b->on_receive(ctx, {{5, 5}, make_committed({5, 5}, 1)});
   b->on_receive(ctx, {{5, 6}, make_committed({5, 6}, 1)});
   EXPECT_FALSE(b->committed_value().has_value());  // only 2 claims, t+1 = 3
@@ -93,11 +100,11 @@ TEST(Cpa, BehaviorUnitFirstClaimPerNeighborWins) {
   const Torus torus(12, 12);
   RadioNetwork net(torus, 1, Metric::kLInf, 1);
   for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<CpaBehavior>(ProtocolParams{1, {0, 0}}));
+    net.set_behavior(c, cpa_node(1, torus));
   }
   const Coord self{6, 6};
   NodeContext ctx(net, self);
-  auto* b = dynamic_cast<CpaBehavior*>(net.behavior(self));
+  NodeBehavior* b = net.behavior(self);
   // The same neighbor repeating does not add claims.
   b->on_receive(ctx, {{5, 5}, make_committed({5, 5}, 1)});
   b->on_receive(ctx, {{5, 5}, make_committed({5, 5}, 1)});
@@ -114,11 +121,11 @@ TEST(Cpa, BehaviorUnitIgnoresSpoofedOrigins) {
   const Torus torus(12, 12);
   RadioNetwork net(torus, 1, Metric::kLInf, 1);
   for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<CpaBehavior>(ProtocolParams{0, {0, 0}}));
+    net.set_behavior(c, cpa_node(0, torus));
   }
   const Coord self{6, 6};
   NodeContext ctx(net, self);
-  auto* b = dynamic_cast<CpaBehavior*>(net.behavior(self));
+  NodeBehavior* b = net.behavior(self);
   // Claims whose origin field does not match the transmitter are dropped.
   b->on_receive(ctx, {{5, 5}, make_committed({4, 4}, 1)});
   EXPECT_FALSE(b->committed_value().has_value());
@@ -128,11 +135,11 @@ TEST(Cpa, BehaviorUnitSourceNeighborCommitsImmediately) {
   const Torus torus(12, 12);
   RadioNetwork net(torus, 1, Metric::kLInf, 1);
   for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<CpaBehavior>(ProtocolParams{5, {0, 0}}));
+    net.set_behavior(c, cpa_node(5, torus));
   }
   const Coord self{1, 1};
   NodeContext ctx(net, self);
-  auto* b = dynamic_cast<CpaBehavior*>(net.behavior(self));
+  NodeBehavior* b = net.behavior(self);
   b->on_receive(ctx, {{0, 0}, make_committed({0, 0}, 1)});
   EXPECT_EQ(b->committed_value(), std::optional<std::uint8_t>(1));
 }

@@ -1,10 +1,11 @@
-#include "radiobcast/protocols/crash_flood.h"
+#include "radiobcast/protocols/pool.h"
 
 #include <gtest/gtest.h>
 
 #include "radiobcast/core/analysis.h"
 #include "radiobcast/core/experiment.h"
 #include "radiobcast/core/simulation.h"
+#include "radiobcast/net/network.h"
 
 namespace rbcast {
 namespace {
@@ -131,10 +132,11 @@ TEST(CrashFlood, BehaviorUnitCommitOnFirstValue) {
   // Direct behavior-level check of the "first value wins" rule.
   RadioNetwork net(Torus(12, 12), 1, Metric::kLInf, 1);
   for (const Coord c : net.torus().all_coords()) {
-    net.set_behavior(c, std::make_unique<CrashFloodBehavior>(ProtocolParams{}));
+    net.set_behavior(c, std::make_unique<PoolNodeBehavior>(
+                            std::make_unique<CrashFloodPool>(1)));
   }
   NodeContext ctx(net, {5, 5});
-  auto* b = dynamic_cast<CrashFloodBehavior*>(net.behavior({5, 5}));
+  NodeBehavior* b = net.behavior({5, 5});
   b->on_receive(ctx, {{5, 6}, make_committed({5, 6}, 1)});
   EXPECT_EQ(b->committed_value(), std::optional<std::uint8_t>(1));
   b->on_receive(ctx, {{5, 4}, make_committed({5, 4}, 0)});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "radiobcast/grid/neighborhood.h"
@@ -37,6 +38,28 @@ TEST(CenterTable, SupportedExactlyWhenNeighborhoodFits) {
   EXPECT_FALSE(CenterTable::supported(8, Metric::kLInf));  // 288 centers
   EXPECT_FALSE(CenterTable::supported(0, Metric::kLInf));
   EXPECT_TRUE(CenterTable::supported(8, Metric::kL2));  // L2 nbd is smaller
+}
+
+TEST(CenterTable, RequireEnforcesTheTwoHopPoolGeometry) {
+  // Both Byzantine protocols share the radius limit; the two-hop pool adds
+  // sides > 2r and fewer than 2^21 nodes (21-bit packed node indices).
+  EXPECT_EQ(&CenterTable::require(2, Metric::kLInf, 12, 12, true),
+            &CenterTable::get(2, Metric::kLInf, 12, 12));
+  EXPECT_NO_THROW(CenterTable::require(2, Metric::kLInf, 5, 5, true));
+  EXPECT_THROW(CenterTable::require(2, Metric::kLInf, 4, 12, true),
+               std::invalid_argument);
+  EXPECT_THROW(CenterTable::require(2, Metric::kLInf, 12, 4, true),
+               std::invalid_argument);
+  EXPECT_NO_THROW(CenterTable::require(2, Metric::kLInf, 4, 4, false));
+  EXPECT_NO_THROW(CenterTable::require(2, Metric::kLInf, 2048, 1023, true));
+  EXPECT_THROW(CenterTable::require(2, Metric::kLInf, 2048, 1024, true),
+               std::invalid_argument);
+  EXPECT_NO_THROW(CenterTable::require(2, Metric::kLInf, 2048, 1024, false));
+  EXPECT_THROW(CenterTable::require(8, Metric::kLInf, 40, 40, false),
+               std::invalid_argument);
+  EXPECT_NO_THROW(CenterTable::require(9, Metric::kL2, 40, 40, true));
+  EXPECT_THROW(CenterTable::require(10, Metric::kL2, 42, 42, true),
+               std::invalid_argument);
 }
 
 // Brute-force oracle: center bit k is set for delta d iff the node at

@@ -152,6 +152,40 @@ TEST(FaultTolerance, KeepGoingCompletesHealthyCellsAroundOneBadCell) {
   }
 }
 
+TEST(FaultTolerance, OutOfDomainRadiusIsAPermanentFailure) {
+  // r = 8 under L-inf is outside the Byzantine protocols' domain
+  // (CenterTable::require): each such cell records one permanent failure
+  // carrying the protocol's own message, and healthy cells still run.
+  std::vector<CampaignCell> cells = {healthy_cell(11, 2)};
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kBvTwoHop, ProtocolKind::kBvIndirectFlood,
+        ProtocolKind::kBvIndirectEarmarked}) {
+    CampaignCell cell;
+    cell.label = to_string(protocol);
+    cell.sim.width = cell.sim.height = 34;  // 4r+2
+    cell.sim.r = 8;
+    cell.sim.t = 1;
+    cell.sim.protocol = protocol;
+    cells.push_back(cell);
+  }
+  CampaignOptions options;
+  options.workers = 2;
+  options.on_error = ErrorPolicy::kKeepGoing;
+  const CampaignResult result = run_cells(cells, options);
+  ASSERT_EQ(result.cells.size(), 4u);
+  EXPECT_EQ(result.cells[0].aggregate.runs, 2);
+  EXPECT_EQ(result.failed_trials(), 3u);
+  for (std::size_t i = 1; i < 4; ++i) {
+    ASSERT_EQ(result.cells[i].failures.size(), 1u) << cells[i].label;
+    const TrialFailure& failure = result.cells[i].failures.front();
+    EXPECT_EQ(failure.kind, FailureKind::kPermanent) << cells[i].label;
+    EXPECT_EQ(failure.attempts, 1) << cells[i].label;
+    EXPECT_NE(failure.what.find("r=8 under Linf"), std::string::npos)
+        << failure.what;
+    EXPECT_EQ(result.cells[i].aggregate.runs, 0) << cells[i].label;
+  }
+}
+
 TEST(FaultTolerance, AbortStillThrowsAfterCompletingHealthyWork) {
   const std::vector<CampaignCell> cells = {healthy_cell(), tiny_torus_cell()};
   CampaignOptions options;

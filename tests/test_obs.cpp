@@ -17,7 +17,7 @@
 #include "radiobcast/net/network.h"
 #include "radiobcast/obs/timers.h"
 #include "radiobcast/obs/trace.h"
-#include "radiobcast/protocols/crash_flood.h"
+#include "radiobcast/protocols/pool.h"
 #include "radiobcast/protocols/source.h"
 
 // Global allocation counter: every operator new in this binary bumps it.
@@ -245,8 +245,8 @@ TEST(RoundTrace, DisabledTrialLeavesSinkUntouchedAndUnallocated) {
     if (c == Coord{0, 0}) {
       net.set_behavior(c, std::make_unique<SourceBehavior>(1));
     } else {
-      net.set_behavior(
-          c, std::make_unique<CrashFloodBehavior>(ProtocolParams{0, {0, 0}}));
+      net.set_behavior(c, std::make_unique<PoolNodeBehavior>(
+                              std::make_unique<CrashFloodPool>(1)));
     }
   }
   net.start();

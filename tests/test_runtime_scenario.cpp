@@ -10,6 +10,7 @@
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "radiobcast/runtime/harness.h"
 #include "radiobcast/util/rng.h"
@@ -422,6 +423,33 @@ TEST(RuntimeNode, RejectsConfigurationsWithoutASocketAnalogue) {
   EXPECT_THROW(RuntimeNode(opts, transport), std::invalid_argument);
   opts.sim.jam_budget = -1;
   EXPECT_NO_THROW(RuntimeNode(opts, transport));
+}
+
+TEST(RuntimeHarness, TwoHopTorusWithSideAtMostTwoRFailsToStart) {
+  // The two-hop pool needs both sides > 2r (CenterTable::require); the
+  // deployment fails before any node thread starts, with the same error the
+  // protocol's constructor raises.
+  Scenario s;
+  s.sim.width = 4;  // == 2r
+  s.sim.height = 6;
+  s.sim.r = 2;
+  s.sim.t = 1;
+  s.sim.protocol = ProtocolKind::kBvTwoHop;
+  const Torus torus(s.sim.width, s.sim.height);
+  std::string expected;
+  try {
+    (void)make_node_behavior(s.sim, torus, NodeRole::kHonest);
+  } catch (const std::invalid_argument& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_NE(expected.find("2r"), std::string::npos) << expected;
+  try {
+    (void)run_scenario_threads(s);
+    ADD_FAILURE() << "the deployment started";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
 }
 
 }  // namespace

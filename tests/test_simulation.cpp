@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "radiobcast/core/analysis.h"
+#include "radiobcast/net/pool.h"
 
 namespace rbcast {
 namespace {
@@ -209,6 +212,78 @@ TEST(Simulation, L2MetricRuns) {
   cfg.t = 0;
   const auto result = run_simulation(cfg, FaultSet{});
   EXPECT_TRUE(result.success());
+}
+
+/// A fault-free config for one Byzantine protocol at radius r on the
+/// smallest torus run_simulation admits, capped at one round: enough to
+/// build every honest node's state and send the first HEARDs.
+SimConfig domain_config(ProtocolKind protocol, std::int32_t r, Metric m) {
+  SimConfig cfg;
+  cfg.width = cfg.height = 4 * r + 2;
+  cfg.r = r;
+  cfg.metric = m;
+  cfg.protocol = protocol;
+  cfg.t = 1;
+  cfg.max_rounds = 1;
+  return cfg;
+}
+
+TEST(RadiusDomain, ByzantineProtocolsRejectRadiusEightUnderLinf) {
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kBvTwoHop, ProtocolKind::kBvIndirectFlood,
+        ProtocolKind::kBvIndirectEarmarked}) {
+    EXPECT_THROW(
+        run_simulation(domain_config(protocol, 8, Metric::kLInf), FaultSet{}),
+        std::invalid_argument)
+        << to_string(protocol);
+  }
+}
+
+TEST(RadiusDomain, AcceptsTheLargestRadiusOfEachMetric) {
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kBvTwoHop, ProtocolKind::kBvIndirectFlood,
+        ProtocolKind::kBvIndirectEarmarked}) {
+    EXPECT_NO_THROW(
+        run_simulation(domain_config(protocol, 7, Metric::kLInf), FaultSet{}))
+        << to_string(protocol);
+  }
+  // Earmarked relays are L-inf only, whatever the radius.
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kBvTwoHop, ProtocolKind::kBvIndirectFlood}) {
+    EXPECT_NO_THROW(
+        run_simulation(domain_config(protocol, 9, Metric::kL2), FaultSet{}))
+        << to_string(protocol);
+    EXPECT_THROW(
+        run_simulation(domain_config(protocol, 10, Metric::kL2), FaultSet{}),
+        std::invalid_argument)
+        << to_string(protocol);
+  }
+}
+
+TEST(PoolNodeBehavior, FootprintIsIndependentOfTorusSize) {
+  // make_node_behavior wraps a one-slot pool for the pooled protocols: a
+  // node driven on its own (runtime, fault wrappers) holds O(1) state.
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kCrashFlood, ProtocolKind::kCpa,
+        ProtocolKind::kBvTwoHop}) {
+    SimConfig cfg = tiny_config();
+    cfg.protocol = protocol;
+    cfg.t = 1;
+    const auto state_bytes_on = [&](std::int32_t side) -> std::uint64_t {
+      const Torus torus(side, side);
+      const auto behavior = make_node_behavior(cfg, torus, NodeRole::kHonest);
+      const auto* adapter =
+          dynamic_cast<const PoolNodeBehavior*>(behavior.get());
+      if (adapter == nullptr) {
+        ADD_FAILURE() << to_string(protocol) << " is not pool-backed";
+        return 0;
+      }
+      return adapter->pool().state_bytes();
+    };
+    const std::uint64_t small = state_bytes_on(16);
+    EXPECT_GT(small, 0u) << to_string(protocol);
+    EXPECT_EQ(small, state_bytes_on(512)) << to_string(protocol);
+  }
 }
 
 }  // namespace
