@@ -7,7 +7,6 @@
 
 #include "radiobcast/net/jamming.h"
 #include "radiobcast/net/network.h"
-#include "radiobcast/protocols/bv_indirect.h"
 #include "radiobcast/protocols/byzantine.h"
 #include "radiobcast/protocols/common.h"
 #include "radiobcast/protocols/pool.h"
@@ -74,9 +73,8 @@ std::optional<AdversaryKind> adversary_from_string(std::string_view name) {
 namespace {
 
 /// The pool implementing this configuration's honest protocol, sized for
-/// `slots` nodes, or nullptr for the bv-4hop protocols (their evidence state
-/// is arena-backed inside BvIndirectBehavior). Lives here, not in
-/// protocols/, because it is the one place SimConfig meets the pool classes.
+/// `slots` nodes. Lives here, not in protocols/, because it is the one place
+/// SimConfig meets the pool classes.
 std::unique_ptr<NodePool> make_honest_pool(const SimConfig& cfg,
                                            const Torus& torus,
                                            std::int64_t slots) {
@@ -90,28 +88,22 @@ std::unique_ptr<NodePool> make_honest_pool(const SimConfig& cfg,
       return std::make_unique<BvTwoHopPool>(params, torus, cfg.r, cfg.metric,
                                             slots);
     case ProtocolKind::kBvIndirectFlood:
+      return std::make_unique<BvIndirectPool>(params, torus, cfg.r, cfg.metric,
+                                              RelayMode::kFlood, slots);
     case ProtocolKind::kBvIndirectEarmarked:
-      return nullptr;
+      if (cfg.metric != Metric::kLInf) {
+        throw std::invalid_argument(
+            "earmarked relays require the L-infinity metric");
+      }
+      return std::make_unique<BvIndirectPool>(params, torus, cfg.r, cfg.metric,
+                                              RelayMode::kEarmarked, slots);
   }
   throw std::logic_error("unknown protocol");
 }
 
 std::unique_ptr<NodeBehavior> make_honest(const SimConfig& cfg,
                                           const Torus& torus) {
-  if (auto pool = make_honest_pool(cfg, torus, 1)) {
-    return std::make_unique<PoolNodeBehavior>(std::move(pool));
-  }
-  const ProtocolParams params{cfg.t, cfg.source};
-  if (cfg.protocol == ProtocolKind::kBvIndirectFlood) {
-    return std::make_unique<BvIndirectBehavior>(params, torus, cfg.r,
-                                                cfg.metric, RelayMode::kFlood);
-  }
-  if (cfg.metric != Metric::kLInf) {
-    throw std::invalid_argument(
-        "earmarked relays require the L-infinity metric");
-  }
-  return std::make_unique<BvIndirectBehavior>(params, torus, cfg.r, cfg.metric,
-                                              RelayMode::kEarmarked);
+  return std::make_unique<PoolNodeBehavior>(make_honest_pool(cfg, torus, 1));
 }
 
 std::unique_ptr<NodeBehavior> make_faulty(const SimConfig& cfg,
@@ -210,14 +202,12 @@ SimResult run_simulation(const SimConfig& cfg, const FaultSet& faults,
   if (cfg.retransmissions != 1) {
     net.set_retransmissions(cfg.retransmissions);
   }
-  if (auto pool = make_honest_pool(cfg, torus, torus.node_count())) {
-    net.set_pool(std::move(pool));
-  }
+  net.set_pool(make_honest_pool(cfg, torus, torus.node_count()));
   for (const Coord c : torus.all_coords()) {
     const NodeRole role = c == source         ? NodeRole::kSource
                           : faults.contains(c) ? NodeRole::kFaulty
                                                : NodeRole::kHonest;
-    if (role == NodeRole::kHonest && net.pool() != nullptr) {
+    if (role == NodeRole::kHonest) {
       net.assign_to_pool(c);
     } else {
       net.set_behavior(c, make_node_behavior(cfg, torus, role));

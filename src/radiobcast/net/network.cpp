@@ -248,15 +248,11 @@ void RadioNetwork::run_round() {
     }
   }
   pending_.clear();
-  if (pool_ == nullptr) {
-    for (std::int64_t i = 0; i < torus_.node_count(); ++i) {
-      NodeContext ctx(*this, node_coords_[static_cast<std::size_t>(i)]);
-      behaviors_[static_cast<std::size_t>(i)]->on_round_end(ctx);
-    }
-  } else if (!pool_->wants_round_end()) {
-    // Pool nodes have no round-end work: sweep only the behavior nodes
-    // (node-index order preserved), turning the O(nodes)-per-round loop into
-    // O(non-pool nodes) — on a million-node torus, just the source + faults.
+  if (pool_ == nullptr || !pool_->wants_round_end()) {
+    // No pool nodes with round-end work: sweep only the behavior nodes
+    // (node-index order preserved; without a pool that is every node), so a
+    // pool that opts out turns the O(nodes)-per-round loop into O(non-pool
+    // nodes) — on a million-node torus, just the source + faults.
     for (const std::int32_t i : behavior_nodes_) {
       NodeContext ctx(*this, node_coords_[static_cast<std::size_t>(i)]);
       behaviors_[static_cast<std::size_t>(i)]->on_round_end(ctx);

@@ -1,5 +1,3 @@
-#include "radiobcast/protocols/bv_indirect.h"
-
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -8,9 +6,27 @@
 #include "radiobcast/core/analysis.h"
 #include "radiobcast/core/experiment.h"
 #include "radiobcast/core/simulation.h"
+#include "radiobcast/net/network.h"
+#include "radiobcast/protocols/pool.h"
 
 namespace rbcast {
 namespace {
+
+/// Fills an r=2 network with one-slot flood pools behind the behavior
+/// adapter and returns the adapter driving `self`.
+PoolNodeBehavior* flood_nodes(RadioNetwork& net, std::int64_t t, Coord self) {
+  for (const Coord c : net.torus().all_coords()) {
+    net.set_behavior(c, std::make_unique<PoolNodeBehavior>(
+                            std::make_unique<BvIndirectPool>(
+                                ProtocolParams{t, {0, 0}}, net.torus(), 2,
+                                Metric::kLInf, RelayMode::kFlood, 1)));
+  }
+  return dynamic_cast<PoolNodeBehavior*>(net.behavior(self));
+}
+
+std::int64_t determinations(const PoolNodeBehavior& node) {
+  return dynamic_cast<const BvIndirectPool&>(node.pool()).determinations();
+}
 
 SimConfig base_config(std::int32_t r, ProtocolKind kind) {
   SimConfig cfg;
@@ -133,14 +149,9 @@ TEST(BvIndirect, EarmarkedRequiresLinf) {
 TEST(BvIndirect, BehaviorUnitRejectsImplausibleChains) {
   const Torus torus(20, 20);
   RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvIndirectBehavior>(
-                            ProtocolParams{1, {0, 0}}, torus, 2,
-                            Metric::kLInf, RelayMode::kFlood));
-  }
   const Coord self{10, 10};
   NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvIndirectBehavior*>(net.behavior(self));
+  PoolNodeBehavior* b = flood_nodes(net, 1, self);
 
   // Chain with a hop longer than r: dropped.
   b->on_receive(ctx, {{9, 9}, make_heard({{4, 4}, {9, 9}}, {0, 0}, 1)});
@@ -153,54 +164,44 @@ TEST(BvIndirect, BehaviorUnitRejectsImplausibleChains) {
                 {{9, 9},
                  make_heard({{6, 6}, {7, 7}, {8, 8}, {9, 9}}, {5, 5}, 1)});
   b->on_round_end(ctx);
-  EXPECT_EQ(b->determinations(), 0);
+  EXPECT_EQ(determinations(*b), 0);
 }
 
 TEST(BvIndirect, BehaviorUnitDeterminationViaDisjointChains) {
   const Torus torus(20, 20);
   const std::int64_t t = 1;
   RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvIndirectBehavior>(
-                            ProtocolParams{t, {0, 0}}, torus, 2,
-                            Metric::kLInf, RelayMode::kFlood));
-  }
   const Coord self{10, 10};
   const Coord origin{14, 10};  // 4 away: needs 2-intermediate chains
   NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvIndirectBehavior*>(net.behavior(self));
+  PoolNodeBehavior* b = flood_nodes(net, t, self);
   // Two node-disjoint chains origin -> a -> b -> self, all inside
   // nbd((12,10)).
   b->on_receive(ctx,
                 {{11, 10}, make_heard({{13, 10}, {11, 10}}, origin, 1)});
   b->on_round_end(ctx);
-  EXPECT_EQ(b->determinations(), 0);  // one chain < t+1 = 2
+  EXPECT_EQ(determinations(*b), 0);  // one chain < t+1 = 2
   b->on_receive(ctx,
                 {{11, 11}, make_heard({{13, 11}, {11, 11}}, origin, 1)});
   b->on_round_end(ctx);
-  EXPECT_EQ(b->determinations(), 1);
+  EXPECT_EQ(determinations(*b), 1);
 }
 
 TEST(BvIndirect, BehaviorUnitConflictingChainsDoNotCount) {
   const Torus torus(20, 20);
   const std::int64_t t = 1;
   RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvIndirectBehavior>(
-                            ProtocolParams{t, {0, 0}}, torus, 2,
-                            Metric::kLInf, RelayMode::kFlood));
-  }
   const Coord self{10, 10};
   const Coord origin{14, 10};
   NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvIndirectBehavior*>(net.behavior(self));
+  PoolNodeBehavior* b = flood_nodes(net, t, self);
   // Two chains sharing the intermediate (13,10): conflict, still < t+1.
   b->on_receive(ctx,
                 {{11, 10}, make_heard({{13, 10}, {11, 10}}, origin, 1)});
   b->on_receive(ctx,
                 {{11, 11}, make_heard({{13, 10}, {11, 11}}, origin, 1)});
   b->on_round_end(ctx);
-  EXPECT_EQ(b->determinations(), 0);
+  EXPECT_EQ(determinations(*b), 0);
 }
 
 TEST(BvIndirect, RadiusGuardRejectsKeyCollidingRadii) {
@@ -211,7 +212,7 @@ TEST(BvIndirect, RadiusGuardRejectsKeyCollidingRadii) {
   const ProtocolParams params{1, {0, 0}};
   const auto make = [&](std::int32_t r, Metric m) {
     const Torus torus(4 * r + 2, 4 * r + 2);
-    return BvIndirectBehavior(params, torus, r, m, RelayMode::kFlood);
+    return BvIndirectPool(params, torus, r, m, RelayMode::kFlood, 1);
   };
   EXPECT_NO_THROW(make(7, Metric::kLInf));
   EXPECT_THROW(make(8, Metric::kLInf), std::invalid_argument);

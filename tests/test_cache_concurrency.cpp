@@ -1,5 +1,7 @@
 // Concurrent first-access hammer for the process-wide geometry caches
-// (Adjacency::get, CenterTable::get). Before the per-key once_flag fix the
+// (Adjacency::get, CenterTable::get) and the earmark relay-plan cache
+// (EarmarkPlan::get), which campaign workers also build concurrently when
+// running bv-4hop-earmarked cells. Before the per-key once_flag fix the
 // whole construction ran under one global mutex — correct but fully
 // serialized; the fix lets distinct keys construct concurrently while racers
 // on the SAME key still get exactly one instance at a stable address. This
@@ -17,6 +19,7 @@
 #include "radiobcast/grid/neighborhood.h"
 #include "radiobcast/grid/torus.h"
 #include "radiobcast/protocols/determination.h"
+#include "radiobcast/protocols/earmark.h"
 
 namespace rbcast {
 namespace {
@@ -100,6 +103,55 @@ TEST(CacheConcurrency, CenterTableDistinctKeysConstructConcurrently) {
   for (int i = 0; i < kThreads; ++i) {
     EXPECT_EQ(built[static_cast<std::size_t>(i)],
               &CenterTable::get(2, Metric::kLInf, 11 + i, 11 + i));
+  }
+}
+
+TEST(CacheConcurrency, EarmarkPlanSameRadiusYieldsOnePlan) {
+  // Every racer asks for the same fresh radius (no other test in this binary
+  // builds r = 3 first) and must get the one plan at one address.
+  std::vector<const EarmarkPlan*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back(
+        [&, i] { seen[static_cast<std::size_t>(i)] = &EarmarkPlan::get(3); });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_NE(seen[0], nullptr);
+  for (int i = 1; i < kThreads; ++i) {
+    EXPECT_EQ(seen[0], seen[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_GT(seen[0]->prefix_count(), 0u);
+}
+
+TEST(CacheConcurrency, EarmarkPlanDistinctRadiiResolveStably) {
+  // Threads build radii 1, 2, 4 and 5 at once, two racers per radius; every
+  // thread's plan must be the one later lookups return, and plans of
+  // different radii must be different objects that answer queries.
+  const auto radius_of = [](int i) {
+    constexpr std::int32_t kRadii[] = {1, 2, 4, 5};
+    return kRadii[i % 4];
+  };
+  std::vector<const EarmarkPlan*> built(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      const EarmarkPlan& plan = EarmarkPlan::get(radius_of(i));
+      // Read the plan while other threads may still be inserting theirs.
+      EXPECT_GT(plan.prefix_count(), 0u);
+      built[static_cast<std::size_t>(i)] = &plan;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(built[static_cast<std::size_t>(i)],
+              &EarmarkPlan::get(radius_of(i)));
+    for (int j = 0; j < kThreads; ++j) {
+      EXPECT_EQ(radius_of(i) == radius_of(j),
+                built[static_cast<std::size_t>(i)] ==
+                    built[static_cast<std::size_t>(j)]);
+    }
   }
 }
 

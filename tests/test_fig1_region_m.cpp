@@ -9,7 +9,6 @@
 #include "radiobcast/core/analysis.h"
 #include "radiobcast/net/network.h"
 #include "radiobcast/paths/construction.h"
-#include "radiobcast/protocols/bv_indirect.h"
 #include "radiobcast/protocols/common.h"
 #include "radiobcast/protocols/pool.h"
 #include "radiobcast/protocols/source.h"
@@ -31,8 +30,9 @@ RadioNetwork run_fault_free(std::int32_t r, std::int64_t t,
     if (c == source) {
       net.set_behavior(c, std::make_unique<SourceBehavior>(1));
     } else if (mode != nullptr) {
-      net.set_behavior(c, std::make_unique<BvIndirectBehavior>(
-                              params, torus, r, Metric::kLInf, *mode));
+      net.set_behavior(c, std::make_unique<PoolNodeBehavior>(
+                              std::make_unique<BvIndirectPool>(
+                                  params, torus, r, Metric::kLInf, *mode, 1)));
     } else {
       net.set_behavior(c, std::make_unique<PoolNodeBehavior>(
                               std::make_unique<BvTwoHopPool>(
@@ -54,16 +54,17 @@ TEST(Fig1RegionM, CornerDeciderDeterminesAllOfM4Hop) {
   // Frame: neighborhood center (a,b), decider P at the pnbd corner.
   const Coord ab{10, 10};
   const Coord p = torus.wrap(Coord{ab.x - r, ab.y + r + 1});
-  const auto* decider = dynamic_cast<const BvIndirectBehavior*>(net.behavior(p));
+  const auto* decider = dynamic_cast<const PoolNodeBehavior*>(net.behavior(p));
   ASSERT_NE(decider, nullptr);
   EXPECT_TRUE(decider->committed_value().has_value());
+  const auto& pool = dynamic_cast<const BvIndirectPool&>(decider->pool());
 
   // Every node of region M (translated to the ab frame) is determined.
   std::int64_t determined = 0;
   for (const Coord m_rel : region_M(r)) {
     const Coord m = torus.wrap(ab + (m_rel - Coord{0, 0}));
-    if (decider->has_determined(m, 1)) ++determined;
-    EXPECT_TRUE(decider->has_determined(m, 1))
+    if (pool.has_determined(0, torus.index(m), 1)) ++determined;
+    EXPECT_TRUE(pool.has_determined(0, torus.index(m), 1))
         << "M node " << to_string(m_rel) << " undetermined";
   }
   EXPECT_EQ(determined, r_2r_plus_1(r));
