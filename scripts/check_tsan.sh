@@ -24,8 +24,9 @@ TSAN_OPTIONS="halt_on_error=1" "${build}/tests/test_round_sync"
 # Event-loop machinery: SwarmHub mailbox handoff across threads, epoll
 # wakeups, and the shared-socket barrier soaks (many nodes, one fd).
 TSAN_OPTIONS="halt_on_error=1" "${build}/tests/test_event_loop"
-# Process-wide geometry caches (Adjacency::get, CenterTable::get): 8-thread
-# concurrent first-access hammer on same-key and distinct-key patterns.
+# Process-wide caches (Adjacency::get, CenterTable::get, EarmarkPlan::get):
+# 8-thread concurrent first-access hammer on same-key and distinct-key
+# patterns.
 TSAN_OPTIONS="halt_on_error=1" "${build}/tests/test_cache_concurrency"
 
 echo "TSan concurrency check passed"

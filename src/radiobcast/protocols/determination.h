@@ -244,6 +244,17 @@ class IncrementalDetermination {
 
   std::size_t report_count() const { return interiors_.size(); }
 
+  /// Bytes of evidence held: the element counts of the report, dedup,
+  /// per-center and arena containers (never their capacities, so the figure
+  /// is identical across standard libraries). Packing scratch is excluded.
+  std::uint64_t state_bytes() const {
+    return interiors_.size() * sizeof(Interior) +
+           dedup_.size() * sizeof(std::uint64_t) + per_first_.size() +
+           centers_.size() * sizeof(CenterState) +
+           contained_arena_.size() * sizeof(std::uint32_t) +
+           first_bits_.size() * sizeof(std::uint64_t);
+  }
+
  private:
   /// Per-center report list, stored as a (offset, size, capacity) span into
   /// the shared contained_arena_ below instead of one heap vector per center:

@@ -127,6 +127,39 @@ TEST(Counters, HeardTrafficAndSpoofedSends) {
   EXPECT_EQ(c.committed_queued + c.heard_queued, c.broadcasts_queued);
 }
 
+TEST(Counters, EnginePeakCountsBvIndirectEvidence) {
+  // bv-4hop's per-(node, origin, value) evidence is pool state like any
+  // other pool's tables, so every round's engine_bytes_peak covers it.
+  const Torus torus(12, 12);
+  const ProtocolParams params{1, {0, 0}};
+  RadioNetwork net(torus, 1, Metric::kLInf, /*seed=*/7);
+  net.set_pool(std::make_unique<BvIndirectPool>(
+      params, torus, 1, Metric::kLInf, RelayMode::kFlood, torus.node_count()));
+  for (const Coord c : torus.all_coords()) {
+    if (c == params.source) {
+      net.set_behavior(c, std::make_unique<SourceBehavior>(1));
+    } else {
+      net.assign_to_pool(c);
+    }
+  }
+  net.start();
+  const std::uint64_t tables_only = net.pool()->state_bytes();
+  std::uint64_t pool_peak = 0;
+  while (!net.quiescent()) {
+    net.run_round();
+    const std::uint64_t pool_bytes = net.pool()->state_bytes();
+    pool_peak = std::max(pool_peak, pool_bytes);
+    EXPECT_GE(net.counters().engine_bytes_peak, pool_bytes)
+        << "round " << net.round();
+  }
+  // Evidence was held, and counted...
+  EXPECT_GT(pool_peak, tables_only);
+  // ...and released once every node committed (the source included).
+  EXPECT_EQ(net.counters().commits,
+            static_cast<std::uint64_t>(torus.node_count()));
+  EXPECT_LT(net.pool()->state_bytes(), pool_peak);
+}
+
 TEST(Counters, MergeSumsAndMaxes) {
   Counters a;
   a.broadcasts_queued = 5;

@@ -261,11 +261,11 @@ TEST(RadiusDomain, AcceptsTheLargestRadiusOfEachMetric) {
 }
 
 TEST(PoolNodeBehavior, FootprintIsIndependentOfTorusSize) {
-  // make_node_behavior wraps a one-slot pool for the pooled protocols: a
-  // node driven on its own (runtime, fault wrappers) holds O(1) state.
+  // make_node_behavior wraps a one-slot pool for every protocol: a node
+  // driven on its own (runtime, fault wrappers) holds O(1) state.
   for (const ProtocolKind protocol :
-       {ProtocolKind::kCrashFlood, ProtocolKind::kCpa,
-        ProtocolKind::kBvTwoHop}) {
+       {ProtocolKind::kCrashFlood, ProtocolKind::kCpa, ProtocolKind::kBvTwoHop,
+        ProtocolKind::kBvIndirectFlood, ProtocolKind::kBvIndirectEarmarked}) {
     SimConfig cfg = tiny_config();
     cfg.protocol = protocol;
     cfg.t = 1;
