@@ -114,17 +114,14 @@ void BM_RuntimeScenario(benchmark::State& state) {
 // the timing thread, and rounds/s is a wall-clock claim.
 BENCHMARK(BM_RuntimeScenario)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Backend round-rate comparison: the same 3x3 deployment as
-// BM_RuntimeScenario, parametrized over the event backend, run long enough
+// Round rate: the same 3x3 deployment as BM_RuntimeScenario, run long enough
 // (128 rounds) that steady-state round rate dominates thread/socket setup.
-// The poll row is bound by the 50us sleep cadence of the barrier chain and
-// by per-datagram loopback syscalls; the plain epoll row trades naps for
-// readiness wakeups but still pays the kernel for every datagram; the
-// epoll_swarm row moves member traffic onto SwarmHub condvar mailboxes and
-// is the headline: user-CPU bound, no kernel on the datagram path, >= 5x the
-// poll row's rounds/s on the same machine (BENCH_pr9.json pins the ratio).
-void BM_RuntimeRoundRate(benchmark::State& state, RuntimeBackend backend,
-                         bool shared_socket) {
+// The epoll row gives every node its own UDP socket and pays the kernel for
+// every datagram; the epoll_swarm row moves member traffic onto SwarmHub
+// condvar mailboxes: user-CPU bound, no kernel on the datagram path.
+// (BENCH_pr9.json also records the removed 50 us poll loop's row, about 5x
+// slower than epoll_swarm.)
+void BM_RuntimeRoundRate(benchmark::State& state, bool shared_socket) {
   Scenario scenario;
   scenario.sim.width = 3;
   scenario.sim.height = 3;
@@ -132,7 +129,6 @@ void BM_RuntimeRoundRate(benchmark::State& state, RuntimeBackend backend,
   scenario.sim.t = 0;
   scenario.sim.protocol = ProtocolKind::kCrashFlood;
   scenario.sim.max_rounds = 128;
-  scenario.backend = backend;
   scenario.shared_socket = shared_socket;
   scenario.round_timeout_ms = 0;
   scenario.linger_timeout_ms = 2000;
@@ -144,23 +140,19 @@ void BM_RuntimeRoundRate(benchmark::State& state, RuntimeBackend backend,
   }
   state.SetItemsProcessed(rounds);
 }
-BENCHMARK_CAPTURE(BM_RuntimeRoundRate, poll, RuntimeBackend::kPoll, false)
+BENCHMARK_CAPTURE(BM_RuntimeRoundRate, epoll, false)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_RuntimeRoundRate, epoll, RuntimeBackend::kEpoll, false)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_RuntimeRoundRate, epoll_swarm, RuntimeBackend::kEpoll,
-                  true)
+BENCHMARK_CAPTURE(BM_RuntimeRoundRate, epoll_swarm, true)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 // Swarm scale: a 256-node (16x16) crash-flood deployment as in-process
-// threads sharing ONE UDP socket (SwarmHub) under the epoll backend —
-// member traffic moves through condvar mailboxes, never the kernel. items/s
-// is runtime rounds per second across the whole swarm. One iteration is a
-// whole deployment (~thousands of node-rounds), so a single iteration per
-// measurement keeps the bench under control on shared runners.
+// threads sharing ONE UDP socket (SwarmHub) — member traffic moves through
+// condvar mailboxes, never the kernel. items/s is runtime rounds per second
+// across the whole swarm. One iteration is a whole deployment (~thousands of
+// node-rounds), so a single iteration per measurement keeps the bench under
+// control on shared runners.
 void BM_RuntimeSwarm(benchmark::State& state) {
   Scenario scenario;
   scenario.sim.width = 16;
@@ -170,7 +162,6 @@ void BM_RuntimeSwarm(benchmark::State& state) {
   scenario.sim.protocol = ProtocolKind::kCrashFlood;
   scenario.sim.max_rounds = 12;
   scenario.faults = {{4, 4}, {11, 3}, {7, 12}};
-  scenario.backend = RuntimeBackend::kEpoll;
   scenario.shared_socket = true;
   scenario.round_timeout_ms = 0;
   scenario.linger_timeout_ms = 5000;

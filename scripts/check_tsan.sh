@@ -16,8 +16,8 @@ cmake --build "${build}" --target \
 TSAN_OPTIONS="halt_on_error=1" "${build}/tests/test_campaign"
 TSAN_OPTIONS="halt_on_error=1" "${build}/tests/test_experiment" \
   --gtest_filter='Aggregate.*:RunRepeated.*'
-# Link + synchronizer: covers the FaultInjectionTransport drop/dup/reorder
-# paths and the multi-threaded slow-node progress test (real sockets, one
+# Link + synchronizer: covers the ChaosTransport drop/dup/delay paths over a
+# SwarmHub and the multi-threaded slow-node progress test (real sockets, one
 # thread per node) that exercises timeout-opened barriers and suspicion.
 TSAN_OPTIONS="halt_on_error=1" "${build}/tests/test_perfect_link"
 TSAN_OPTIONS="halt_on_error=1" "${build}/tests/test_round_sync"

@@ -26,7 +26,6 @@ RuntimeNode::Options node_options(const Scenario& scenario,
               : faults.contains(self) ? NodeRole::kFaulty
                                       : NodeRole::kHonest;
   opts.max_rounds = scenario.sim.max_rounds;
-  opts.backend = scenario.backend;
   opts.round_timeout = std::chrono::milliseconds(scenario.round_timeout_ms);
   opts.linger_timeout = std::chrono::milliseconds(scenario.linger_timeout_ms);
   opts.suspect_after = static_cast<int>(scenario.suspect_after);
@@ -235,24 +234,6 @@ void write_verdict(std::ostream& out, const RuntimeVerdict& v) {
       << "last_commit_round " << v.counters.last_commit_round << '\n'
       << "round_latency_hist " << v.round_latency.serialize() << '\n'
       << "commit_latency_hist " << v.commit_latency.serialize() << '\n';
-}
-
-void write_verdict_core(std::ostream& out, const RuntimeVerdict& v) {
-  out << "index " << v.index << '\n'
-      << "self " << v.self.x << ' ' << v.self.y << '\n'
-      << "role " << role_name(v.role) << '\n'
-      << "committed " << (v.committed ? static_cast<int>(*v.committed) : -1)
-      << '\n'
-      << "commit_round " << v.commit_round << '\n'
-      << "rounds " << v.rounds << '\n'
-      << "crashed " << (v.crashed ? 1 : 0) << '\n'
-      << "commits " << v.counters.commits << '\n'
-      << "broadcasts_queued " << v.counters.broadcasts_queued << '\n'
-      << "committed_queued " << v.counters.committed_queued << '\n'
-      << "heard_queued " << v.counters.heard_queued << '\n'
-      << "envelopes_delivered " << v.counters.envelopes_delivered << '\n'
-      << "envelopes_dropped " << v.counters.envelopes_dropped << '\n'
-      << "last_commit_round " << v.counters.last_commit_round << '\n';
 }
 
 RuntimeVerdict parse_verdict(std::istream& in) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "radiobcast/net/channel.h"
@@ -153,16 +152,9 @@ void RuntimeNode::pump() {
 
 void RuntimeNode::wait_for_traffic(
     std::chrono::steady_clock::time_point cap) {
-  if (opts_.backend == RuntimeBackend::kPoll) {
-    // The poll cadence bounds added latency per round; 50us keeps a loopback
-    // torus running thousands of rounds per second while staying polite to
-    // the scheduler.
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    return;
-  }
-  // Epoll backend: sleep until the socket has a readability edge or the
-  // earliest deadline that demands action — a pending retransmission, or the
-  // caller's cap (barrier timeout / stop probe / linger deadline).
+  // Sleep until the transport has traffic or the earliest deadline that
+  // demands action — a pending retransmission, or the caller's cap (barrier
+  // timeout / stop probe / linger deadline).
   if (const auto d = link_.next_deadline(); d.has_value() && *d < cap) {
     cap = *d;
   }
@@ -292,8 +284,8 @@ std::int64_t RuntimeNode::restore_state() {
 
 RuntimeVerdict RuntimeNode::run() {
   using clock = std::chrono::steady_clock;
-  // Stop-probe cadence for the epoll backend: the longest a blocked node
-  // goes without re-checking stop_requested() when nothing else wakes it.
+  // Stop-probe cadence: the longest a blocked node goes without re-checking
+  // stop_requested() when nothing else wakes it.
   constexpr std::chrono::milliseconds kStopProbe(10);
   run_start_ = clock::now();
   behavior_ = opts_.behavior_factory

@@ -10,7 +10,7 @@
 //   RoundSynchronizer                — TDMA rounds on real time
 //   LocalBroadcast                   — CSR-neighbor fan-out
 //   PerfectLink                      — ack/retransmit, dedup, FIFO
-//   Transport (UDP or fault shim)    — unreliable datagrams
+//   Transport (UDP, swarm, chaos)    — unreliable datagrams
 //
 // Round mapping mirrors the simulator exactly: everything a behavior
 // broadcasts while round() == k is tagged round k and delivered to every
@@ -34,7 +34,6 @@
 #include "radiobcast/obs/counters.h"
 #include "radiobcast/obs/latency.h"
 #include "radiobcast/obs/trace.h"
-#include "radiobcast/runtime/event_loop.h"
 #include "radiobcast/runtime/local_broadcast.h"
 #include "radiobcast/runtime/perfect_link.h"
 #include "radiobcast/runtime/round_sync.h"
@@ -86,11 +85,6 @@ class RuntimeNode final : public BroadcastBackend {
     NodeRole role = NodeRole::kHonest;
     /// Rounds to run; 0 = default_round_bound(sim), the simulator's horizon.
     std::int64_t max_rounds = 0;
-    /// How the node idles between barrier checks: kPoll naps a fixed 50 us
-    /// cadence (the reference backend); kEpoll blocks on Transport::wait
-    /// until socket readiness or the earliest of the retransmission /
-    /// barrier-timeout deadlines (runtime/event_loop.h).
-    RuntimeBackend backend = RuntimeBackend::kPoll;
     PerfectLink::Options link{};
     /// Barrier timeout per round (0 = wait forever). Equivalence runs use 0;
     /// deployments set a generous bound so one dead process cannot wedge the
@@ -149,9 +143,9 @@ class RuntimeNode final : public BroadcastBackend {
 
   /// Drains the link (feeding the synchronizer) and runs retransmissions.
   void pump();
-  /// Idles until new traffic is plausible or `cap` passes. Poll backend: a
-  /// fixed 50 us nap. Epoll backend: blocks on the transport's readiness
-  /// mechanism, bounded by the link's next retransmission deadline.
+  /// Idles until new traffic is plausible or `cap` passes: blocks on the
+  /// transport's readiness mechanism (Transport::wait), bounded by the
+  /// link's next retransmission deadline.
   void wait_for_traffic(std::chrono::steady_clock::time_point cap);
   /// Sends round k's queued broadcasts plus the ROUND_DONE(k) marker — with
   /// the channel policy (loss / jamming) applied per receiver, so each

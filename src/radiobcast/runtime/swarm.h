@@ -6,9 +6,11 @@
 // handful of flows — at swarm burst rates the buffers overflow and the link
 // layer spends its time retransmitting. SwarmHub collapses the swarm onto
 // one socket: traffic between members is routed in memory through per-node
-// mailboxes (mutex + condvar, so the epoll backend's wait() becomes a
-// condvar wait), and only traffic to nodes *outside* the hub touches the
-// shared socket, prefixed with an 8-byte (from, to) mux header.
+// mailboxes (mutex + condvar, so a node's readiness wait is a condvar wait),
+// and only traffic to nodes *outside* the hub touches the shared socket,
+// prefixed with an 8-byte (from, to) mux header. A hub that never calls
+// set_peers is fully local — the in-memory fabric the perfect-link tests
+// layer ChaosTransport over.
 //
 // Identity: in-memory delivery stamps the sender index directly (same
 // address space — the no-spoofing assumption is trivially preserved).

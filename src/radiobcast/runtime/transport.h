@@ -4,10 +4,10 @@
 // Transport is the narrow seam beneath PerfectLink: an unreliable,
 // unordered, possibly-duplicating datagram service addressed by node index.
 // UdpTransport is the real thing (nonblocking UDP sockets on loopback or any
-// configured peer table); FaultInjectionTransport wraps another transport and
-// deterministically drops / reorders / duplicates datagrams so the
-// perfect-link tests can prove no-loss / no-dup / FIFO under adversarial
-// conditions without flaky timing.
+// configured peer table); SwarmTransport (runtime/swarm.h) routes in memory;
+// ChaosTransport wraps either and deterministically drops / duplicates /
+// delays / partitions datagrams — the one fault shim for deployments and for
+// the perfect-link tests alike.
 
 #include <chrono>
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "radiobcast/runtime/event_loop.h"
-#include "radiobcast/util/rng.h"
 
 namespace rbcast {
 
@@ -51,10 +50,10 @@ class Transport {
   /// Blocks until a datagram is plausibly receivable or `deadline` passes.
   /// May wake spuriously; callers re-check their conditions. The caller must
   /// have drained try_receive to false first (the epoll implementations are
-  /// edge-triggered). The base implementation sleeps one poll cadence
-  /// (50 us, capped by the deadline) — exactly the poll backend's pacing, so
-  /// transports without a readiness mechanism degrade to polling.
-  virtual void wait(std::chrono::steady_clock::time_point deadline);
+  /// edge-triggered). Every transport has a readiness mechanism: UDP sockets
+  /// wait in epoll, swarm mailboxes on a condvar, and ChaosTransport
+  /// forwards to the transport it wraps.
+  virtual void wait(std::chrono::steady_clock::time_point deadline) = 0;
 };
 
 /// UDP/IPv4 transport. Each node owns one nonblocking socket; peers are
@@ -84,8 +83,8 @@ class UdpTransport final : public Transport {
   bool try_receive(Datagram& out) override;
 
   /// Epoll-backed wait: sleeps until the socket has a readability edge or
-  /// the deadline passes. The EventLoop is created lazily on first use, so
-  /// poll-backend deployments never pay the extra epoll fd.
+  /// the deadline passes. The EventLoop is created lazily on first use, so a
+  /// transport that is never waited on never pays the extra epoll fd.
   void wait(std::chrono::steady_clock::time_point deadline) override;
 
   /// The underlying socket (tests register it with an external EventLoop).
@@ -98,48 +97,6 @@ class UdpTransport final : public Transport {
   std::unique_ptr<EventLoop> loop_;
 };
 
-/// Deterministic failure shim for tests: wraps delivery queues per
-/// destination and applies seeded drop / duplicate / reorder decisions on
-/// send. All traffic stays in-process; `deliver_to` hands a queue's datagrams
-/// to the destination's FaultInjectionTransport, so a test wires N of these
-/// together as a lossy in-memory fabric.
-class FaultInjectionTransport final : public Transport {
- public:
-  struct Options {
-    double drop_p = 0.0;       // per-datagram drop probability
-    double duplicate_p = 0.0;  // per-datagram duplication probability
-    /// With this probability a sent datagram is held back and released after
-    /// the next send to the same destination (pairwise reorder).
-    double reorder_p = 0.0;
-    std::uint64_t seed = 1;
-  };
-
-  explicit FaultInjectionTransport(std::uint32_t self, Options opts);
-
-  /// Connects this transport to its peers; index i must be peer i's shim.
-  /// Peers are not owned and must outlive this object.
-  void set_peers(std::vector<FaultInjectionTransport*> peers);
-
-  using Transport::send;
-  void send(std::uint32_t to, const std::vector<std::uint8_t>& bytes) override;
-  bool try_receive(Datagram& out) override;
-
-  /// Returns immediately when the inbox is non-empty; otherwise the base
-  /// poll-cadence sleep (in-memory fabrics have no readiness mechanism).
-  void wait(std::chrono::steady_clock::time_point deadline) override;
-
- private:
-  void enqueue_at(std::uint32_t to, Datagram d);
-
-  std::uint32_t self_;
-  Options opts_;
-  Rng rng_;
-  std::vector<FaultInjectionTransport*> peers_;
-  std::deque<Datagram> inbox_;
-  /// Held-back datagram per destination awaiting the reorder release.
-  std::vector<std::unique_ptr<Datagram>> held_;
-};
-
 /// Chaos knobs for one node's outgoing traffic (the scenario file's `chaos`
 /// section, runtime/scenario.h). All probabilities are per-datagram.
 struct ChaosOptions {
@@ -149,8 +106,8 @@ struct ChaosOptions {
   std::chrono::milliseconds delay{0};
   std::uint64_t seed = 1;
   /// Test seam: overrides the clock the delay/partition machinery reads
-  /// (null = steady_clock). Lets the delay tests advance time explicitly
-  /// instead of sleeping — deterministic under sanitizer load.
+  /// (null = steady_clock). Lets the delay and link tests advance time
+  /// explicitly instead of sleeping — deterministic under sanitizer load.
   std::function<std::chrono::steady_clock::time_point()> clock;
   /// A directed link blackout: datagrams from node `from` to node `to` are
   /// destroyed while the deployment age is in [start_ms, end_ms) — end_ms < 0
@@ -178,14 +135,16 @@ struct ChaosStats {
   std::uint64_t partition_drops = 0;
 };
 
-/// Seeded fault injection for the *real* transport path: wraps any Transport
-/// (UdpTransport in deployments) and decides each outgoing datagram's fate —
-/// drop, duplicate, delay, or partition suppression — deterministically from
-/// (seed, sender, receiver, per-pair datagram sequence). Two runs of the same
-/// scenario inject the exact same faults, regardless of scheduling; only the
-/// recovery timing (retransmissions) differs. Delayed datagrams are released
-/// by later send/try_receive calls once their deadline passes, so no extra
-/// thread is involved.
+/// Seeded fault injection: wraps any Transport (UdpTransport or
+/// SwarmTransport in deployments, a fully local SwarmHub in the link tests)
+/// and decides each outgoing datagram's fate — drop, duplicate, delay, or
+/// partition suppression — deterministically from (seed, sender, receiver,
+/// per-pair datagram sequence). Two runs of the same scenario inject the
+/// exact same faults, regardless of scheduling; only the recovery timing
+/// (retransmissions) differs. Delayed datagrams are released by later
+/// send/try_receive calls once their deadline passes, so no extra thread is
+/// involved; datagrams sent undelayed in the meantime overtake them, which is
+/// how the shim reorders.
 class ChaosTransport final : public Transport {
  public:
   /// `inner` is borrowed and must outlive this object. `self` is this node's

@@ -1,7 +1,7 @@
 // Perfect-link property tests under deterministic fault injection
-// (runtime/perfect_link.h + FaultInjectionTransport): no loss, no
-// duplication, per-sender FIFO — the three guarantees the runtime's round
-// barrier is built on.
+// (runtime/perfect_link.h over ChaosTransport on a fully local SwarmHub): no
+// loss, no duplication, per-sender FIFO — the three guarantees the runtime's
+// round barrier is built on.
 
 #include "radiobcast/runtime/perfect_link.h"
 
@@ -9,10 +9,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "radiobcast/net/message.h"
+#include "radiobcast/runtime/swarm.h"
 #include "radiobcast/runtime/transport.h"
 #include "radiobcast/runtime/wire.h"
 
@@ -39,27 +41,57 @@ PerfectLink::Options eager_options() {
   return opts;
 }
 
+/// The chaos clock of a lossy fabric. It is fake and advances one step per
+/// pump, so a datagram delayed by kDelaySteps is released that many pumps
+/// later and undelayed datagrams sent in between overtake it — the shim's
+/// reordering, with no sleeping.
+struct FakeClock {
+  static constexpr milliseconds kStep{1};
+  static constexpr int kDelaySteps = 2;
+  std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now();
+
+  /// `faults` with this clock installed and the delay set to kDelaySteps.
+  ChaosOptions drive(ChaosOptions faults) {
+    faults.delay = kStep * kDelaySteps;
+    faults.clock = [this] { return now; };
+    return faults;
+  }
+  void step() { now += kStep; }
+};
+
+/// N endpoints of one fully local SwarmHub, each behind a ChaosTransport
+/// with the same fault options (each endpoint draws its own per-link fates).
+struct Fabric {
+  FakeClock clock;
+  SwarmHub hub;
+  std::vector<std::unique_ptr<Transport>> mailboxes;
+  std::vector<std::unique_ptr<ChaosTransport>> chaos;
+
+  Fabric(std::uint32_t n, const ChaosOptions& faults) : hub(n) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      mailboxes.push_back(hub.transport(i));
+      chaos.push_back(std::make_unique<ChaosTransport>(
+          i, *mailboxes.back(), clock.drive(faults)));
+    }
+  }
+  ChaosTransport& operator[](std::uint32_t i) { return *chaos[i]; }
+};
+
 struct LinkPair {
-  FaultInjectionTransport::Options fault_opts;
-  FaultInjectionTransport ta;
-  FaultInjectionTransport tb;
+  Fabric fabric;
   PerfectLink a;
   PerfectLink b;
 
-  explicit LinkPair(FaultInjectionTransport::Options opts,
+  explicit LinkPair(const ChaosOptions& faults,
                     PerfectLink::Options link_opts = eager_options())
-      : fault_opts(opts),
-        ta(0, opts),
-        tb(1, opts),
-        a(0, ta, link_opts),
-        b(1, tb, link_opts) {
-    ta.set_peers({&ta, &tb});
-    tb.set_peers({&ta, &tb});
-  }
+      : fabric(2, faults),
+        a(0, fabric[0], link_opts),
+        b(1, fabric[1], link_opts) {}
 
   /// One scheduling step for both endpoints.
   void pump(std::vector<ReceivedMessage>& rx_a,
             std::vector<ReceivedMessage>& rx_b) {
+    fabric.clock.step();
     const auto now = std::chrono::steady_clock::now();
     a.poll(rx_a);
     b.poll(rx_b);
@@ -67,79 +99,6 @@ struct LinkPair {
     b.tick(now);
   }
 };
-
-// Direct unit tests of the fault shim itself — the link-level property tests
-// below only prove the *link* masks these faults, not that the shim actually
-// injects them in the advertised shapes.
-
-TEST(FaultInjectionTransport, DropPathDestroysDatagrams) {
-  FaultInjectionTransport::Options opts;
-  opts.drop_p = 1.0;
-  FaultInjectionTransport a(0, opts), b(1, opts);
-  a.set_peers({&a, &b});
-  b.set_peers({&a, &b});
-  a.send(1, {1, 2, 3});
-  Datagram d;
-  EXPECT_FALSE(b.try_receive(d));
-}
-
-TEST(FaultInjectionTransport, DuplicatePathInjectsIdenticalCopies) {
-  FaultInjectionTransport::Options opts;
-  opts.duplicate_p = 1.0;
-  FaultInjectionTransport a(0, opts), b(1, opts);
-  a.set_peers({&a, &b});
-  b.set_peers({&a, &b});
-  a.send(1, {7, 8});
-  Datagram first, second, third;
-  ASSERT_TRUE(b.try_receive(first));
-  ASSERT_TRUE(b.try_receive(second));
-  EXPECT_EQ(first.from, 0u);
-  EXPECT_EQ(second.from, 0u);
-  EXPECT_EQ(first.bytes, (std::vector<std::uint8_t>{7, 8}));
-  EXPECT_EQ(second.bytes, first.bytes);
-  EXPECT_FALSE(b.try_receive(third));  // exactly two copies, not more
-}
-
-TEST(FaultInjectionTransport, ReorderPathSwapsConsecutiveDatagrams) {
-  FaultInjectionTransport::Options opts;
-  opts.reorder_p = 1.0;
-  FaultInjectionTransport a(0, opts), b(1, opts);
-  a.set_peers({&a, &b});
-  b.set_peers({&a, &b});
-  a.send(1, {1});
-  Datagram d;
-  EXPECT_FALSE(b.try_receive(d));  // first datagram held back
-  a.send(1, {2});  // releases the held one *behind* this send
-  ASSERT_TRUE(b.try_receive(d));
-  EXPECT_EQ(d.bytes, (std::vector<std::uint8_t>{2}));
-  ASSERT_TRUE(b.try_receive(d));
-  EXPECT_EQ(d.bytes, (std::vector<std::uint8_t>{1}));
-  EXPECT_FALSE(b.try_receive(d));
-}
-
-TEST(FaultInjectionTransport, SameSeedYieldsSameFaultSchedule) {
-  FaultInjectionTransport::Options opts;
-  opts.drop_p = 0.4;
-  opts.duplicate_p = 0.3;
-  opts.seed = 99;
-  std::vector<std::vector<std::uint8_t>> runs[2];
-  for (auto& run : runs) {
-    FaultInjectionTransport a(0, opts), b(1, opts);
-    a.set_peers({&a, &b});
-    b.set_peers({&a, &b});
-    for (std::uint8_t i = 0; i < 50; ++i) a.send(1, {i});
-    Datagram d;
-    while (b.try_receive(d)) run.push_back(d.bytes);
-  }
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_LT(runs[0].size(), 50u);   // drops happened
-  // Duplicates happened too: some byte appears twice.
-  bool any_dup = false;
-  for (std::size_t i = 1; i < runs[0].size(); ++i) {
-    any_dup = any_dup || runs[0][i] == runs[0][i - 1];
-  }
-  EXPECT_TRUE(any_dup);
-}
 
 TEST(PerfectLink, DeliversInOrderOverCleanTransport) {
   // Default RTO: acks arrive within microseconds on the in-memory fabric,
@@ -167,10 +126,10 @@ TEST(PerfectLink, DeliversInOrderOverCleanTransport) {
 }
 
 TEST(PerfectLink, NoLossNoDupFifoUnderDropDuplicateReorder) {
-  FaultInjectionTransport::Options faults;
+  ChaosOptions faults;
   faults.drop_p = 0.3;
   faults.duplicate_p = 0.3;
-  faults.reorder_p = 0.3;
+  faults.delay_p = 0.3;  // reorders: later sends overtake a delayed one
   faults.seed = 20260809;
   LinkPair pair(faults);
 
@@ -191,16 +150,21 @@ TEST(PerfectLink, NoLossNoDupFifoUnderDropDuplicateReorder) {
     EXPECT_EQ(rx_b[static_cast<std::size_t>(i)].msg.round, i)
         << "out-of-order or duplicated delivery at position " << i;
   }
-  // The fabric really was hostile: retransmits happened and duplicate copies
-  // reached the receiver (and were dropped there, not delivered).
+  // The fabric really was hostile: every configured fault shape fired on the
+  // data path, retransmits happened, and duplicate copies reached the
+  // receiver (and were dropped there, not delivered).
+  const ChaosStats& fired = pair.fabric[0].stats();
+  EXPECT_GT(fired.drops, 0u);
+  EXPECT_GT(fired.duplicates, 0u);
+  EXPECT_GT(fired.delays, 0u);
   EXPECT_GT(pair.a.stats().packets_retransmitted, 0u);
   EXPECT_GT(pair.b.stats().duplicates_dropped, 0u);
 }
 
 TEST(PerfectLink, BidirectionalTrafficKeepsStreamsIndependent) {
-  FaultInjectionTransport::Options faults;
+  ChaosOptions faults;
   faults.drop_p = 0.25;
-  faults.reorder_p = 0.25;
+  faults.delay_p = 0.25;
   faults.seed = 7;
   LinkPair pair(faults);
 
@@ -223,21 +187,24 @@ TEST(PerfectLink, BidirectionalTrafficKeepsStreamsIndependent) {
     EXPECT_EQ(rx_b[static_cast<std::size_t>(i)].msg.round, i);
     EXPECT_EQ(rx_a[static_cast<std::size_t>(i)].msg.round, 1000 + i);
   }
+  // Both directions carried data, so both shims must have dropped and
+  // delayed some of it.
+  for (std::uint32_t side = 0; side < 2; ++side) {
+    EXPECT_GT(pair.fabric[side].stats().drops, 0u) << "side " << side;
+    EXPECT_GT(pair.fabric[side].stats().delays, 0u) << "side " << side;
+  }
 }
 
 TEST(PerfectLink, PerDestinationSequencesLeaveNoGaps) {
   // Three-party: node 0 interleaves sends to 1 and 2. Each receiver's stream
   // must be gap-free (per-destination sequence numbers, not a global one).
-  FaultInjectionTransport::Options faults;
+  ChaosOptions faults;
   faults.drop_p = 0.2;
   faults.seed = 99;
-  FaultInjectionTransport t0(0, faults), t1(1, faults), t2(2, faults);
-  t0.set_peers({&t0, &t1, &t2});
-  t1.set_peers({&t0, &t1, &t2});
-  t2.set_peers({&t0, &t1, &t2});
-  PerfectLink l0(0, t0, eager_options());
-  PerfectLink l1(1, t1, eager_options());
-  PerfectLink l2(2, t2, eager_options());
+  Fabric fabric(3, faults);
+  PerfectLink l0(0, fabric[0], eager_options());
+  PerfectLink l1(1, fabric[1], eager_options());
+  PerfectLink l2(2, fabric[2], eager_options());
 
   const int kCount = 50;
   for (int i = 0; i < kCount; ++i) {
@@ -248,6 +215,7 @@ TEST(PerfectLink, PerDestinationSequencesLeaveNoGaps) {
 
   std::vector<ReceivedMessage> rx0, rx1, rx2;
   for (int step = 0; step < 20000 && !l0.all_acked(); ++step) {
+    fabric.clock.step();
     const auto now = std::chrono::steady_clock::now();
     l0.poll(rx0);
     l1.poll(rx1);
@@ -262,6 +230,7 @@ TEST(PerfectLink, PerDestinationSequencesLeaveNoGaps) {
     EXPECT_EQ(rx1[static_cast<std::size_t>(i)].msg.round, i);
     EXPECT_EQ(rx2[static_cast<std::size_t>(i)].msg.round, 100 + i);
   }
+  EXPECT_GT(fabric[0].stats().drops, 0u);
 }
 
 TEST(PerfectLink, ProtocolPayloadSurvivesTheLink) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -176,6 +177,11 @@ class RecordingTransport final : public Transport {
     inbox.pop_front();
     return true;
   }
+  /// Single-threaded stub: nothing can arrive while the caller waits, so an
+  /// empty inbox stays empty until the deadline.
+  void wait(std::chrono::steady_clock::time_point deadline) override {
+    if (inbox.empty()) std::this_thread::sleep_until(deadline);
+  }
 
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> sent;
   std::deque<Datagram> inbox;
@@ -309,6 +315,66 @@ TEST(ChaosTransport, DelayHoldsDatagramsUntilTheDeadline) {
   ASSERT_EQ(inner.sent.size(), 1u);
   EXPECT_EQ(inner.sent[0].first, 1u);
   EXPECT_EQ(inner.sent[0].second, payload(0x5A));
+}
+
+TEST(ChaosTransport, DropPathDestroysEveryDatagram) {
+  // Drop is decided first: a dropped datagram is neither duplicated nor
+  // delayed, whatever those probabilities say.
+  RecordingTransport inner;
+  ChaosOptions opts;
+  opts.drop_p = 1.0;
+  opts.duplicate_p = 1.0;
+  opts.delay_p = 1.0;
+  opts.delay = std::chrono::milliseconds(1);
+  opts.seed = 1;
+  ChaosTransport chaos(0, inner, opts);
+  for (std::uint8_t i = 0; i < 20; ++i) {
+    chaos.send(1u + i % 3u, payload(i));
+  }
+  Datagram d;
+  EXPECT_FALSE(chaos.try_receive(d));
+  EXPECT_TRUE(inner.sent.empty());
+  EXPECT_EQ(chaos.stats().drops, 20u);
+  EXPECT_EQ(chaos.stats().duplicates, 0u);
+  EXPECT_EQ(chaos.stats().delays, 0u);
+}
+
+TEST(ChaosTransport, DelayedDatagramIsOvertakenByALaterOne) {
+  // Reordering is delay: a held datagram goes out at its deadline, after
+  // every datagram sent undelayed in the meantime. Fake clock, no sleeping.
+  auto fake_now = std::chrono::steady_clock::now();
+  RecordingTransport inner;
+  ChaosOptions opts;
+  opts.delay_p = 0.5;
+  opts.delay = std::chrono::milliseconds(5);
+  opts.seed = 3;
+  opts.clock = [&fake_now] { return fake_now; };
+  ChaosTransport chaos(0, inner, opts);
+  constexpr std::size_t kSent = 16;
+  for (std::size_t i = 0; i < kSent; ++i) {
+    chaos.send(1, payload(static_cast<std::uint8_t>(i)));
+  }
+  const std::size_t held = chaos.stats().delays;
+  ASSERT_GT(held, 0u);
+  ASSERT_LT(held, kSent);
+  ASSERT_EQ(inner.sent.size(), kSent - held);  // undelayed ones went at once
+
+  fake_now += opts.delay;
+  Datagram d;
+  EXPECT_FALSE(chaos.try_receive(d));  // pump: releases every held datagram
+  ASSERT_EQ(inner.sent.size(), kSent);
+
+  std::vector<std::uint8_t> order;
+  for (const auto& [to, bytes] : inner.sent) order.push_back(bytes[0]);
+  // Each group keeps send order and the held group trails...
+  const auto split = order.begin() + static_cast<std::ptrdiff_t>(kSent - held);
+  EXPECT_TRUE(std::is_sorted(order.begin(), split));
+  EXPECT_TRUE(std::is_sorted(split, order.end()));
+  // ...so the first held datagram arrives behind a datagram sent after it.
+  EXPECT_LT(*split, *(split - 1));
+  // Delay reorders; it never loses or copies.
+  std::sort(order.begin(), order.end());
+  for (std::size_t i = 0; i < kSent; ++i) EXPECT_EQ(order[i], i);
 }
 
 // ---------------------------------------------------------------------------

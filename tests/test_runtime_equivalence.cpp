@@ -1,27 +1,24 @@
 // Sim/runtime equivalence: the same protocol objects, run once under the
 // discrete-event simulator and once as threads over real loopback UDP
 // sockets, must produce identical per-node verdicts — same committed value,
-// same commit round, for every node — and they must do so under BOTH event
-// backends (the 50us poll loop and the epoll readiness loop), which is the
-// test that the event engine only changes when nodes wake, never what they
-// observe.
+// same commit round, for every node. The simulator is the reference: nodes
+// idle on transport readiness, and this is the test that when a node wakes
+// never changes what it observes.
 //
 // Why this holds (docs/RUNTIME.md has the full argument): the runtime tags
 // every broadcast with its TDMA round, the perfect link delivers per-sender
 // FIFO, and the round synchronizer releases each round's traffic in the
 // simulator's delivery order (sender index ascending, per-sender FIFO) only
 // after every neighbor's ROUND_DONE marker confirms the round is complete.
-// Both backends populate nodes with the same make_node_behavior recipe and
-// run the same default_round_bound horizon, so each behavior observes a
-// byte-identical event sequence on both backends.
+// Simulator and runtime populate nodes with the same make_node_behavior
+// recipe and run the same default_round_bound horizon, so each behavior
+// observes a byte-identical event sequence in both.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "radiobcast/core/simulation.h"
@@ -43,7 +40,7 @@ struct EquivalenceCase {
   std::int64_t jam_budget = 0;
 };
 
-Scenario make_scenario(const EquivalenceCase& param, RuntimeBackend backend) {
+Scenario make_scenario(const EquivalenceCase& param) {
   Scenario scenario;
   scenario.sim.width = 8;
   scenario.sim.height = 8;
@@ -55,7 +52,7 @@ Scenario make_scenario(const EquivalenceCase& param, RuntimeBackend backend) {
   scenario.sim.value = 1;
   scenario.sim.source = {0, 0};
   scenario.sim.seed = 12345;
-  scenario.sim.max_rounds = 0;  // both backends use default_round_bound
+  scenario.sim.max_rounds = 0;  // sim and runtime use default_round_bound
   if (param.loss_p > 0.0) {
     scenario.sim.loss_p = param.loss_p;
     // The per-pair streams are the only loss process a distributed node can
@@ -64,7 +61,6 @@ Scenario make_scenario(const EquivalenceCase& param, RuntimeBackend backend) {
   }
   scenario.sim.jam_budget = param.jam_budget;
   scenario.faults = param.faults;
-  scenario.backend = backend;
   // Equivalence runs barrier forever: on loopback with threads all peers are
   // alive, and a timeout would make delivery timing-dependent.
   scenario.round_timeout_ms = 0;
@@ -87,13 +83,13 @@ const std::vector<EquivalenceCase>& all_cases() {
                       AdversaryKind::kLying, 1, std::vector<Coord>{{4, 4}}},
       EquivalenceCase{"bv_4hop_earmarked", ProtocolKind::kBvIndirectEarmarked,
                       AdversaryKind::kSilent, 1, std::vector<Coord>{{4, 4}}},
-      // Crash-at-round exercises mid-run behavior changes on both
-      // backends (the adversary is honest until its crash round).
+      // Crash-at-round exercises mid-run behavior changes (the adversary
+      // is honest until its crash round).
       EquivalenceCase{"crash_flood_crash_at_round", ProtocolKind::kCrashFlood,
                       AdversaryKind::kCrashAtRound, 3,
                       std::vector<Coord>{{3, 3}, {6, 2}}},
       // Lossy channel: the runtime replays the simulator's pairwise drop
-      // schedule message-for-message, on either backend.
+      // schedule message-for-message.
       EquivalenceCase{"crash_flood_lossy", ProtocolKind::kCrashFlood,
                       AdversaryKind::kSilent, 3,
                       std::vector<Coord>{{3, 3}, {6, 2}, {1, 6}},
@@ -105,14 +101,11 @@ const std::vector<EquivalenceCase>& all_cases() {
   return cases;
 }
 
-using EquivalenceParam = std::tuple<EquivalenceCase, RuntimeBackend>;
-
-class RuntimeEquivalence : public testing::TestWithParam<EquivalenceParam> {};
+class RuntimeEquivalence : public testing::TestWithParam<EquivalenceCase> {};
 
 TEST_P(RuntimeEquivalence, VerdictsMatchTheSimulatorNodeForNode) {
-  const EquivalenceCase& param = std::get<0>(GetParam());
-  const RuntimeBackend backend = std::get<1>(GetParam());
-  const Scenario scenario = make_scenario(param, backend);
+  const EquivalenceCase& param = GetParam();
+  const Scenario scenario = make_scenario(param);
 
   const SimResult sim = run_simulation(scenario.sim, scenario.fault_set());
   const RuntimeResult rt = run_scenario_threads(scenario);
@@ -133,7 +126,7 @@ TEST_P(RuntimeEquivalence, VerdictsMatchTheSimulatorNodeForNode) {
     const std::string where = "node " + std::to_string(v.index) + " (" +
                               std::to_string(v.self.x) + "," +
                               std::to_string(v.self.y) + ") under " +
-                              param.name + "/" + to_string(backend);
+                              param.name;
     switch (expected) {
       case NodeOutcome::kSource:
         EXPECT_EQ(v.role, NodeRole::kSource) << where;
@@ -159,7 +152,7 @@ TEST_P(RuntimeEquivalence, VerdictsMatchTheSimulatorNodeForNode) {
     }
   }
 
-  // The protocol-level traffic counters agree too: both backends host the
+  // The protocol-level traffic counters agree too: both sides host the
   // same behaviors observing the same event sequences, so they queue the
   // same broadcasts and commit the same number of times. (Link-level packet
   // counters are timing-dependent and deliberately not compared.)
@@ -170,41 +163,7 @@ TEST_P(RuntimeEquivalence, VerdictsMatchTheSimulatorNodeForNode) {
   EXPECT_EQ(rt.counters.last_commit_round, sim.counters.last_commit_round);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllProtocols, RuntimeEquivalence,
-    testing::Combine(testing::ValuesIn(all_cases()),
-                     testing::Values(RuntimeBackend::kPoll,
-                                     RuntimeBackend::kEpoll)),
-    [](const testing::TestParamInfo<EquivalenceParam>& info) {
-      return std::string(std::get<0>(info.param).name) + "_" +
-             to_string(std::get<1>(info.param));
-    });
-
-// ---------------------------------------------------------------------------
-// Cross-backend: verdict cores are byte-identical
-
-/// Serializes every verdict's deterministic core into one string.
-std::string cores_of(const RuntimeResult& result) {
-  std::ostringstream out;
-  for (const RuntimeVerdict& v : result.verdicts) {
-    write_verdict_core(out, v);
-    out << "---\n";
-  }
-  return out.str();
-}
-
-class CrossBackend : public testing::TestWithParam<EquivalenceCase> {};
-
-TEST_P(CrossBackend, VerdictCoresAreByteIdenticalUnderPollAndEpoll) {
-  const EquivalenceCase& param = GetParam();
-  const RuntimeResult poll =
-      run_scenario_threads(make_scenario(param, RuntimeBackend::kPoll));
-  const RuntimeResult epoll =
-      run_scenario_threads(make_scenario(param, RuntimeBackend::kEpoll));
-  EXPECT_EQ(cores_of(poll), cores_of(epoll));
-}
-
-INSTANTIATE_TEST_SUITE_P(AllProtocols, CrossBackend,
+INSTANTIATE_TEST_SUITE_P(AllProtocols, RuntimeEquivalence,
                          testing::ValuesIn(all_cases()),
                          [](const testing::TestParamInfo<EquivalenceCase>&
                                 info) { return std::string(info.param.name); });

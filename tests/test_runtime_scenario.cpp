@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include "radiobcast/runtime/harness.h"
 #include "radiobcast/util/rng.h"
 #include "radiobcast/runtime/node.h"
+#include "radiobcast/runtime/swarm.h"
 #include "radiobcast/runtime/transport.h"
 
 namespace rbcast {
@@ -88,7 +90,6 @@ TEST(Scenario, WriteParseRoundtrips) {
   s.crash_at_round = 2;
   s.restart_after_ms = 150;
   s.state_dir = "state";
-  s.backend = RuntimeBackend::kEpoll;
   s.shared_socket = true;
 
   std::ostringstream out;
@@ -119,19 +120,25 @@ TEST(Scenario, WriteParseRoundtrips) {
   EXPECT_EQ(back.crash_at_round, s.crash_at_round);
   EXPECT_EQ(back.restart_after_ms, s.restart_after_ms);
   EXPECT_EQ(back.state_dir, s.state_dir);
-  EXPECT_EQ(back.backend, s.backend);
   EXPECT_EQ(back.shared_socket, s.shared_socket);
 }
 
-TEST(Scenario, ParsesBackendAndRejectsUnknownNames) {
-  const Scenario s = parse_scenario_string(
-      "width 3\nheight 3\nr 1\nbackend epoll\nshared_socket 1\n");
-  EXPECT_EQ(s.backend, RuntimeBackend::kEpoll);
+TEST(Scenario, RejectsBackendKeyAndParsesSharedSocket) {
+  // Nodes have one idle strategy, so `backend` is an unknown key like any
+  // other — even naming the strategy that remains.
+  try {
+    parse_scenario_string("width 3\nheight 3\nr 1\nbackend epoll\n");
+    ADD_FAILURE() << "a backend line must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'backend'"),
+              std::string::npos)
+        << e.what();
+  }
+  const Scenario s =
+      parse_scenario_string("width 3\nheight 3\nr 1\nshared_socket 1\n");
   EXPECT_TRUE(s.shared_socket);
-  EXPECT_EQ(parse_scenario_string("width 3\nheight 3\nr 1\n").backend,
-            RuntimeBackend::kPoll);  // default stays the reference loop
-  EXPECT_THROW(parse_scenario_string("backend kqueue\n"),
-               std::invalid_argument);
+  EXPECT_FALSE(
+      parse_scenario_string("width 3\nheight 3\nr 1\n").shared_socket);
   EXPECT_THROW(parse_scenario_string("shared_socket 2\n"),
                std::invalid_argument);
 }
@@ -396,7 +403,9 @@ TEST(Verdict, ParseRejectsMalformedInput) {
 }
 
 TEST(RuntimeNode, RejectsConfigurationsWithoutASocketAnalogue) {
-  FaultInjectionTransport transport(0, {});
+  SwarmHub hub(1);
+  const std::unique_ptr<Transport> mailbox = hub.transport(0);
+  ChaosTransport transport(0, *mailbox, {});
   RuntimeNode::Options opts;
   opts.sim.width = 6;
   opts.sim.height = 6;
