@@ -12,6 +12,7 @@
 #include "radiobcast/campaign/engine.h"
 #include "radiobcast/net/network.h"
 #include "radiobcast/core/analysis.h"
+#include "radiobcast/core/experiment.h"
 #include "radiobcast/core/simulation.h"
 #include "radiobcast/fault/placement.h"
 #include "radiobcast/grid/neighborhood.h"
@@ -147,6 +148,33 @@ void BM_HeardFlood(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cfg.width * cfg.height);
 }
 BENCHMARK(BM_HeardFlood)->Arg(1)->Arg(2);
+
+// The same evidence path with lying adversaries (Theorem 2's safety setting,
+// the `byz` perfbench workload's 12x12 configuration): t = 4 at r = 2, one
+// fixed random-bounded placement. The liars relay every report with the
+// wrong value, so this row also pins the adversary's own bookkeeping — its
+// table of sent lies — and the honest nodes' dedup of the extra reports.
+void BM_HeardFloodLying(benchmark::State& state) {
+  const auto r = static_cast<std::int32_t>(state.range(0));
+  SimConfig cfg;
+  cfg.r = r;
+  cfg.width = cfg.height = 4 * r + 4;
+  cfg.protocol = ProtocolKind::kBvIndirectFlood;
+  cfg.adversary = AdversaryKind::kLying;
+  cfg.t = 4;
+  PlacementConfig placement;
+  placement.kind = PlacementKind::kRandomBounded;
+  Rng rng(2024);
+  const FaultSet faults =
+      make_faults(placement, Torus(cfg.width, cfg.height), cfg.r, cfg.metric,
+                  cfg.t, cfg.source, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_simulation(cfg, faults));
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.width * cfg.height);
+  state.counters["faults"] = static_cast<double>(faults.size());
+}
+BENCHMARK(BM_HeardFloodLying)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // Isolated cost of the incremental determination engine
 // (protocols/determination.h): a synthetic decider at r=2 / t=4 absorbing a

@@ -2,49 +2,43 @@
 
 #include "radiobcast/grid/neighborhood.h"
 
-#include <utility>
-#include <vector>
-
 namespace rbcast {
 
 namespace {
 
-std::string fingerprint(const Message& m) {
-  std::string out;
-  out.push_back(static_cast<char>(m.type));
-  out.push_back(static_cast<char>(m.value));
-  auto push_coord = [&out](Coord c) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      out.push_back(static_cast<char>(
-          (static_cast<std::uint32_t>(c.x) >> shift) & 0xFF));
-      out.push_back(static_cast<char>(
-          (static_cast<std::uint32_t>(c.y) >> shift) & 0xFF));
-    }
-  };
-  push_coord(m.origin);
-  for (const Coord c : m.relayers) push_coord(c);
-  return out;
+std::uint64_t pack_coord(Coord c) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.x)) << 32) |
+         static_cast<std::uint32_t>(c.y);
 }
 
 }  // namespace
+
+std::uint64_t LyingBehavior::LieTraits::hash(const Lie& lie) {
+  std::uint64_t h = det_mix64(pack_coord(lie.origin) ^
+                              static_cast<std::uint64_t>(lie.depth));
+  h = det_mix64(h ^ pack_coord(lie.chain[0]));
+  return det_mix64(h ^ pack_coord(lie.chain[1]));
+}
 
 void LyingBehavior::on_start(NodeContext& ctx) {
   ctx.broadcast(make_committed(ctx.self(), wrong_value_));
 }
 
 void LyingBehavior::on_receive(NodeContext& ctx, const Envelope& env) {
-  const std::uint8_t flipped = wrong_value_;
-  Message lie;
+  Lie lie;
   if (env.msg.type == MsgType::kCommitted) {
     // Claim the committer committed the wrong value.
-    lie = make_heard({ctx.self()}, env.sender, flipped);
+    lie.origin = env.sender;
   } else {
     if (env.msg.relayers.size() >= 3) return;  // depth cap keeps volume finite
-    RelayerChain chain = env.msg.relayers;
-    chain.push_back(ctx.self());
-    lie = make_heard(chain, env.msg.origin, flipped);
+    lie.origin = env.msg.origin;
+    for (const Coord c : env.msg.relayers) lie.chain[lie.depth++] = c;
   }
-  if (sent_.insert(fingerprint(lie)).second) ctx.broadcast(std::move(lie));
+  if (!sent_.insert(lie)) return;
+  RelayerChain chain;
+  for (std::int32_t i = 0; i < lie.depth; ++i) chain.push_back(lie.chain[i]);
+  chain.push_back(ctx.self());
+  ctx.broadcast(make_heard(chain, lie.origin, wrong_value_));
 }
 
 void SpoofingBehavior::on_start(NodeContext& ctx) {

@@ -20,13 +20,13 @@
 //                       until a given round, then goes permanently silent:
 //                       crash-stop mid-protocol.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <unordered_set>
 
 #include "radiobcast/net/network.h"
+#include "radiobcast/protocols/flat_table.h"
 
 namespace rbcast {
 
@@ -46,8 +46,24 @@ class LyingBehavior final : public NodeBehavior {
   void on_receive(NodeContext& ctx, const Envelope& env) override;
 
  private:
+  /// A lie's content: its origin and the relayer chain before the liar,
+  /// both as raw coordinates exactly as received (never wrapped onto the
+  /// torus). Every lie is a HEARD of `wrong_value_` whose chain ends in the
+  /// liar itself, so type, value and last relayer are left out. `depth`
+  /// counts the used entries of `chain` (0..2); unused ones stay {0, 0}.
+  struct Lie {
+    Coord origin;
+    std::array<Coord, 2> chain{};
+    std::int32_t depth = 0;
+    friend bool operator==(const Lie&, const Lie&) = default;
+  };
+  struct LieTraits {
+    static constexpr Lie kEmpty{{}, {}, -1};
+    static std::uint64_t hash(const Lie& lie);
+  };
+
   std::uint8_t wrong_value_;
-  std::unordered_set<std::string> sent_;  // volume bound, not honesty
+  FlatKeySet<Lie, LieTraits> sent_;  // volume bound, not honesty
 };
 
 /// Address-spoofing liar (Section X's negative control): impersonates its

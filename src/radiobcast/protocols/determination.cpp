@@ -184,11 +184,12 @@ bool IncrementalDetermination::add_report(std::span<const Offset> rel,
                                           std::uint64_t key) {
   const int first = table_.offset_index(rel[0]);
   assert(first >= 0);  // the first relayer is a direct neighbor of the origin
+  assert(key != FlatKeyTraits<std::uint64_t>::kEmpty);
   // Cap before dedup: the dedup set only learns chains considered while the
   // first-relayer cap still had room.
   std::uint8_t& per_first = per_first_[static_cast<std::size_t>(first)];
   if (per_first >= first_cap_) return false;
-  if (!dedup_.insert(key).second) return false;
+  if (!dedup_.insert(key)) return false;
   ++per_first;
 
   // The report's admissible centers: the AND of its relayers' center sets.

@@ -45,12 +45,12 @@
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "radiobcast/grid/coord.h"
 #include "radiobcast/grid/metric.h"
 #include "radiobcast/paths/packing.h"
+#include "radiobcast/protocols/flat_table.h"
 
 namespace rbcast {
 
@@ -232,7 +232,8 @@ class IncrementalDetermination {
 
   /// Offers a plausibility-checked report: `rel` holds the canonical
   /// origin-relative deltas of its relayer chain (front first), `key` its
-  /// packed uint64 chain encoding. Returns true iff the report was accepted
+  /// packed uint64 chain encoding (never ~0ull, the dedup table's empty
+  /// sentinel). Returns true iff the report was accepted
   /// (new under dedup, first-relayer cap not exhausted); acceptance updates
   /// exactly the candidate centers containing the whole chain.
   bool add_report(std::span<const Offset> rel, std::uint64_t key);
@@ -278,7 +279,7 @@ class IncrementalDetermination {
   int first_cap_;
   std::uint64_t seed_;
   std::vector<Interior> interiors_;         // accepted reports
-  std::unordered_set<std::uint64_t> dedup_;  // packed chain keys considered
+  PackedKeySet dedup_;                       // packed chain keys considered
   std::vector<std::uint8_t> per_first_;      // per first-relayer accept count
   std::vector<CenterState> centers_;
   std::vector<std::uint32_t> contained_arena_;  // all centers' report spans
@@ -293,14 +294,6 @@ constexpr std::uint32_t pack_delta_id(Offset o) {
   return (static_cast<std::uint32_t>(static_cast<std::uint16_t>(o.dx))
           << 16) |
          static_cast<std::uint16_t>(o.dy);
-}
-
-/// splitmix64 finalizer — the digest mixer (also used by the seeds).
-constexpr std::uint64_t det_mix64(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
 }
 
 /// Digest seed folding the protocol configuration (see the ctor docs).

@@ -9,10 +9,10 @@
 //   * dense std::vector arrays indexed by slot for per-node phase state
 //     (committed value, commit round, claim tallies);
 //   * one bit per slot for commit flags (DenseBits);
-//   * packed-key open-addressing hash tables (PackedKeySet / PackedU32Map)
-//     for the per-node relations — keys pack (slot, peer, value) into one
-//     uint64, and the tables are only ever probed, never iterated, so their
-//     layout cannot leak into results;
+//   * packed-key open-addressing hash tables (PackedKeySet / PackedU32Map,
+//     protocols/flat_table.h) for the per-node relations — keys pack (slot,
+//     peer, value) into one uint64, and the tables are only ever probed,
+//     never iterated, so their layout cannot leak into results;
 //   * a shared arena for the per-(slot, origin, value) reporter-count blocks
 //     of the two-hop protocol (one contiguous K-slot block per active pair),
 //     and one pool-wide store of the four-hop protocol's per-(slot, origin,
@@ -36,6 +36,7 @@
 #include "radiobcast/net/pool.h"
 #include "radiobcast/protocols/common.h"
 #include "radiobcast/protocols/determination.h"
+#include "radiobcast/protocols/flat_table.h"
 
 namespace rbcast {
 
@@ -58,153 +59,6 @@ class DenseBits {
 
  private:
   std::vector<std::uint64_t> words_;
-};
-
-/// Open-addressing set of packed uint64 keys (linear probing, power-of-two
-/// capacity, grown at ~0.7 load). Keys must never equal ~0ull (the empty
-/// sentinel) — every packing below keeps key bits well under 64. The growth
-/// schedule is a pure function of the insertion sequence, so bytes() is
-/// deterministic across platforms.
-class PackedKeySet {
- public:
-  PackedKeySet() : keys_(kInitialCapacity, kEmpty) {}
-
-  /// Inserts `key`; returns true iff it was not already present.
-  bool insert(std::uint64_t key) {
-    std::size_t i = slot_of(key);
-    while (keys_[i] != kEmpty) {
-      if (keys_[i] == key) return false;
-      i = (i + 1) & (keys_.size() - 1);
-    }
-    keys_[i] = key;
-    ++size_;
-    if (size_ * 10 >= keys_.size() * 7) grow();
-    return true;
-  }
-
-  bool contains(std::uint64_t key) const {
-    std::size_t i = slot_of(key);
-    while (keys_[i] != kEmpty) {
-      if (keys_[i] == key) return true;
-      i = (i + 1) & (keys_.size() - 1);
-    }
-    return false;
-  }
-
-  std::size_t size() const { return size_; }
-  std::uint64_t bytes() const { return keys_.size() * sizeof(std::uint64_t); }
-
- private:
-  static constexpr std::uint64_t kEmpty = ~0ULL;
-  static constexpr std::size_t kInitialCapacity = 16;
-
-  std::size_t slot_of(std::uint64_t key) const {
-    return static_cast<std::size_t>(det_mix64(key)) & (keys_.size() - 1);
-  }
-
-  void grow() {
-    std::vector<std::uint64_t> old = std::move(keys_);
-    keys_.assign(old.size() * 2, kEmpty);
-    for (const std::uint64_t key : old) {
-      if (key == kEmpty) continue;
-      std::size_t i = slot_of(key);
-      while (keys_[i] != kEmpty) i = (i + 1) & (keys_.size() - 1);
-      keys_[i] = key;
-    }
-  }
-
-  std::vector<std::uint64_t> keys_;
-  std::size_t size_ = 0;
-};
-
-/// Open-addressing map from packed uint64 keys to uint32 values, same scheme
-/// as PackedKeySet. slot() inserts a zero-initialized value on first access;
-/// erase() removes a key.
-class PackedU32Map {
- public:
-  PackedU32Map()
-      : keys_(kInitialCapacity, kEmpty), values_(kInitialCapacity, 0) {}
-
-  /// Value slot for `key`, default-inserting 0. The reference is invalidated
-  /// by the next slot() call (a grow may rehash).
-  std::uint32_t& slot(std::uint64_t key) {
-    std::size_t i = slot_of(key);
-    while (keys_[i] != kEmpty) {
-      if (keys_[i] == key) return values_[i];
-      i = (i + 1) & (keys_.size() - 1);
-    }
-    keys_[i] = key;
-    values_[i] = 0;
-    ++size_;
-    if (size_ * 10 >= keys_.size() * 7) {
-      grow();
-      return *find(key);
-    }
-    return values_[i];
-  }
-
-  /// Value slot for `key`, or nullptr if absent (never inserts).
-  std::uint32_t* find(std::uint64_t key) {
-    std::size_t i = slot_of(key);
-    while (keys_[i] != kEmpty) {
-      if (keys_[i] == key) return &values_[i];
-      i = (i + 1) & (keys_.size() - 1);
-    }
-    return nullptr;
-  }
-
-  /// Removes `key` if present. Backward-shift deletion: later entries of the
-  /// probe run move up into the hole, so no tombstones are left behind.
-  void erase(std::uint64_t key) {
-    const std::size_t mask = keys_.size() - 1;
-    std::size_t hole = slot_of(key);
-    while (keys_[hole] != key) {
-      if (keys_[hole] == kEmpty) return;
-      hole = (hole + 1) & mask;
-    }
-    for (std::size_t j = (hole + 1) & mask; keys_[j] != kEmpty;
-         j = (j + 1) & mask) {
-      // keys_[j] may fill the hole iff its home slot is not in (hole, j].
-      if (((j - slot_of(keys_[j])) & mask) >= ((j - hole) & mask)) {
-        keys_[hole] = keys_[j];
-        values_[hole] = values_[j];
-        hole = j;
-      }
-    }
-    keys_[hole] = kEmpty;
-    --size_;
-  }
-
-  std::size_t size() const { return size_; }
-  std::uint64_t bytes() const {
-    return keys_.size() * (sizeof(std::uint64_t) + sizeof(std::uint32_t));
-  }
-
- private:
-  static constexpr std::uint64_t kEmpty = ~0ULL;
-  static constexpr std::size_t kInitialCapacity = 16;
-
-  std::size_t slot_of(std::uint64_t key) const {
-    return static_cast<std::size_t>(det_mix64(key)) & (keys_.size() - 1);
-  }
-
-  void grow() {
-    std::vector<std::uint64_t> old_keys = std::move(keys_);
-    std::vector<std::uint32_t> old_values = std::move(values_);
-    keys_.assign(old_keys.size() * 2, kEmpty);
-    values_.assign(old_keys.size() * 2, 0);
-    for (std::size_t j = 0; j < old_keys.size(); ++j) {
-      if (old_keys[j] == kEmpty) continue;
-      std::size_t i = slot_of(old_keys[j]);
-      while (keys_[i] != kEmpty) i = (i + 1) & (keys_.size() - 1);
-      keys_[i] = old_keys[j];
-      values_[i] = old_values[j];
-    }
-  }
-
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> values_;
-  std::size_t size_ = 0;
 };
 
 /// Packed (slot, node, value bit) key: slot and torus index are both below

@@ -74,6 +74,61 @@ TEST(Lying, DoesNotRepeatIdenticalLies) {
   EXPECT_EQ(net.transmissions_of(liar), 2u);  // COMMITTED + one HEARD
 }
 
+// The liar's dedup is exact on a lie's content: its origin and relayer chain
+// as raw coordinates, as received (never wrapped onto the torus). These pin
+// which receipts count as the same lie (Lying.DoesNotRepeatIdenticalLies
+// above covers a repeated COMMITTED). `lies_told` feeds `inputs` to a
+// started liar at (5, 5) among silent nodes on a 12x12 r = 1 torus and
+// returns its broadcasts, the start COMMITTED included.
+std::uint64_t lies_told(std::initializer_list<Envelope> inputs) {
+  const Torus torus(12, 12);
+  RadioNetwork net(torus, 1, Metric::kLInf, 1);
+  for (const Coord c : torus.all_coords()) {
+    net.set_behavior(c, std::make_unique<SilentBehavior>());
+  }
+  const Coord liar{5, 5};
+  net.set_behavior(liar, std::make_unique<LyingBehavior>(0));
+  net.start();
+  NodeContext ctx(net, liar);
+  for (const Envelope& env : inputs) net.behavior(liar)->on_receive(ctx, env);
+  net.run_round();
+  net.run_round();
+  return net.transmissions_of(liar);
+}
+
+TEST(LyingDedup, RepeatedHeardYieldsOneLie) {
+  const Envelope heard{{5, 4}, make_heard({{5, 4}}, {5, 3}, 1)};
+  EXPECT_EQ(lies_told({heard, heard, heard}), 2u);  // COMMITTED + one HEARD
+}
+
+TEST(LyingDedup, RawRelayerCoordinatesAreDistinctLies) {
+  // (5, 16) is (5, 4) unwrapped on the 12x12 torus: the same node, but a
+  // different claimed chain, so a different lie.
+  EXPECT_EQ(lies_told({{{5, 4}, make_heard({{5, 4}}, {5, 3}, 1)},
+                       {{5, 4}, make_heard({{5, 16}}, {5, 3}, 1)}}),
+            3u);
+  // The same for the origin.
+  EXPECT_EQ(lies_told({{{5, 4}, make_heard({{5, 4}}, {5, 3}, 1)},
+                       {{5, 4}, make_heard({{5, 4}}, {5, 15}, 1)}}),
+            3u);
+}
+
+TEST(LyingDedup, ChainAndItsPrefixAreDistinctLies) {
+  // A depth-2 chain and its depth-1 prefix; the second hop is (0, 0), so a
+  // key that zero-filled unused hops without recording the depth would merge
+  // them.
+  EXPECT_EQ(lies_told({{{0, 0}, make_heard({{5, 4}, {0, 0}}, {5, 3}, 1)},
+                       {{5, 4}, make_heard({{5, 4}}, {5, 3}, 1)}}),
+            3u);
+}
+
+TEST(LyingDedup, ReceivedValueIsNotPartOfTheLie) {
+  // Every lie carries the liar's wrong value, whatever value it relays.
+  EXPECT_EQ(lies_told({{{5, 4}, make_heard({{5, 4}}, {5, 3}, 1)},
+                       {{5, 4}, make_heard({{5, 4}}, {5, 3}, 0)}}),
+            2u);
+}
+
 TEST(Lying, CapsRelayDepth) {
   const Torus torus(12, 12);
   RadioNetwork net(torus, 1, Metric::kLInf, 1);
